@@ -15,7 +15,13 @@ from .dist import (
     ar1_path,
     sample,
 )
-from .errors import InfiniteShortfallError, NoDensityError, ParameterError, QuadratureError
+from .errors import (
+    InfiniteShortfallError,
+    NoDensityError,
+    ParameterError,
+    QuadratureError,
+    ShortfallError,
+)
 from .estim import (
     EstimatorConfig,
     block_estimates,

@@ -28,7 +28,7 @@ import numpy as np
 from . import mc, report
 from .corrupt import MaxShiftGaussian, NoCorruption, model_from_json, model_to_json
 from .dist import AR1, IID, process_from_json
-from .errors import ParameterError, QuadratureError
+from .errors import ParameterError, QuadratureError, ShortfallError
 from .estim import EstimatorConfig
 from .functionals import check_alpha, es_exact, table1_rows
 
@@ -374,7 +374,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (ParameterError, QuadratureError) as exc:
+    except ShortfallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

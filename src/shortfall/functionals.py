@@ -12,7 +12,8 @@ Three independent routes to the expected shortfall at level ``alpha``:
   psi(F(t)) = min{(1-F(t))/alpha, 1}, an independent cross-check oracle.
 
 Also provided: the asymptotic standard deviation ``sigma_es`` of the plug-in
-estimator (a double integral of the tail covariance of the empirical CDF) and
+estimator (from the first two tail moments of the excess over the
+(1-alpha)-quantile, on the same u-space engine as ``es_by_quadrature``) and
 the quantile-function Lipschitz constants ``lipschitz_D`` / ``lipschitz_L``.
 """
 
@@ -84,24 +85,21 @@ class VarianceResult:
         return self.value * self.value
 
 
-def _mean_is_finite(spec: DistributionSpec) -> bool:
+def _tail_index(spec: DistributionSpec) -> float:
+    """Power-law tail index (Pareto lam, Student-t nu); inf for lighter tails."""
     if isinstance(spec, Pareto):
-        return spec.lam > 1.0
+        return spec.lam
     if isinstance(spec, StudentT):
-        return spec.nu > 1.0
-    return True
+        return spec.nu
+    return math.inf
 
 
 def _square_integrable(spec: DistributionSpec) -> bool:
-    if isinstance(spec, Pareto):
-        return spec.lam > 2.0
-    if isinstance(spec, StudentT):
-        return spec.nu > 2.0
-    return True
+    return _tail_index(spec) > 2.0
 
 
 def _require_finite_es(spec: DistributionSpec) -> None:
-    if not _mean_is_finite(spec):
+    if _tail_index(spec) <= 1.0:
         raise InfiniteShortfallError(
             f"infinite ES: {type(spec).__name__} tail index <= 1 has a non-integrable tail"
         )
@@ -191,36 +189,52 @@ def _adaptive_gauss(f, a: float, b: float, tol: float,
     )
 
 
-def _tail_kappa(spec: DistributionSpec) -> float:
-    # Power of the node-concentrating substitution; higher for heavier tails
-    # so the transformed integrand stays smooth at s = 0.
-    tail_index = None
-    if isinstance(spec, Pareto):
-        tail_index = spec.lam
-    elif isinstance(spec, StudentT):
-        tail_index = spec.nu
-    if tail_index is not None and tail_index > 1.0:
+def _tail_kappa(spec: DistributionSpec, p: int = 1) -> float:
+    # Power of the node-concentrating substitution for the p-th tail moment;
+    # the p-th power of a tail with index lam has index lam/p.  Higher for
+    # heavier tails so the transformed integrand stays smooth at s = 0.
+    tail_index = _tail_index(spec) / p
+    if 1.0 < tail_index < math.inf:
         return max(6.0, math.ceil(2.0 * tail_index / (tail_index - 1.0)))
     return 6.0
+
+
+# Smallest tail probability the integrand evaluates; far below it Student-t
+# tail quantiles lose accuracy.
+_W_MIN = 1e-100
+
+
+def _tail_moment(spec: DistributionSpec, alpha: float, tol: float,
+                 p: int = 1, shift: float = 0.0) -> float:
+    """(1/alpha) * integral over w in (0, alpha) of (F^{-1}(1-w) - shift)**p.
+
+    Substituting w = alpha*s**kappa gives kappa * integral over s in (0,1) of
+    (F^{-1}(1 - alpha*s**kappa) - shift)**p * s**(kappa-1), which tames the
+    w -> 0 blow-up; it is evaluated by adaptive panel bisection to absolute
+    error ``tol``.  Below w = _W_MIN the integrand is held at its value there;
+    under a power tail of index t = lam/p the integral over (0, _W_MIN) is
+    t/(t - 1) times that flat part, so the missing 1/(t - 1) share is added
+    in closed form (zero for lighter tails).
+    """
+    kappa = _tail_kappa(spec, p)
+
+    def integrand(s):
+        w = np.maximum(alpha * s**kappa, _W_MIN)
+        return kappa * (spec.tail_quantile(w) - shift) ** p * s ** (kappa - 1.0)
+
+    flat = _W_MIN * (spec.tail_quantile(_W_MIN) - shift) ** p / alpha
+    return _adaptive_gauss(integrand, 0.0, 1.0, tol) + flat / (_tail_index(spec) / p - 1.0)
 
 
 def es_by_quadrature(spec: DistributionSpec, alpha: float, tol: float = 1e-10) -> float:
     """ES_alpha as (1/alpha) * integral of VaR_u over (1-alpha, 1).
 
-    Substituting u = 1 - alpha*s**kappa turns this into
-    kappa * integral over s in (0,1) of F^{-1}(1 - alpha*s**kappa) * s**(kappa-1),
-    which tames the u -> 1 blow-up; the remaining integral is evaluated by
-    adaptive panel bisection.
+    This is the first tail moment of :func:`_tail_moment`, whose substitution
+    u = 1 - alpha*s**kappa concentrates nodes at the u -> 1 singularity.
     """
     alpha = check_alpha(alpha)
     _require_finite_es(spec)
-    kappa = _tail_kappa(spec)
-
-    def integrand(s):
-        w = np.maximum(alpha * s**kappa, 1e-300)
-        return kappa * spec.tail_quantile(w) * s ** (kappa - 1.0)
-
-    return _adaptive_gauss(integrand, 0.0, 1.0, tol)
+    return _tail_moment(spec, alpha, tol)
 
 
 def _quad(f, a, b, tol, points=None):
@@ -301,61 +315,20 @@ def es_by_distortion(spec: DistributionSpec, alpha: float, tol: float = 1e-10) -
 # --- asymptotic variance -----------------------------------------------------
 
 
-def _quantile_slope(spec: DistributionSpec, w):
-    """d/du F^{-1}(u) at u = 1 - w, i.e. 1/f(F^{-1}(1-w)); vectorized in w."""
-    return 1.0 / spec.pdf(spec.tail_quantile(w))
-
-
-def _sigma_uv_quadrature(spec: DistributionSpec, alpha: float, tol: float):
-    """Tail double integral of the empirical-CDF covariance, in quantile space.
-
-    After substituting u = 1 - alpha*a, v = 1 - alpha*b, the double integral
-    becomes
-        sigma^2 = int_0^1 int_0^1 (alpha*min(a,b) - alpha^2*a*b) g(a) g(b) da db
-    with g(y) = 1/f(F^{-1}(1 - alpha*y)), and by symmetry reduces to the
-    nested form  2*alpha * int_0^1 g(b) (1 - alpha*b) H(b) db  with
-    H(b) = int_0^b a*g(a) da.
-    """
-
-    def g(y):
-        return _quantile_slope(spec, alpha * y)
-
-    def inner(b):
-        value, _ = integrate.quad(lambda a: a * g(a), 0.0, b,
-                                  epsabs=1e-13 * max(b, 1e-6), epsrel=1e-10, limit=200)
-        return value
-
-    def outer(b):
-        return g(b) * (1.0 - alpha * b) * inner(b)
-
-    raw, raw_err = integrate.quad(outer, 0.0, 1.0, epsabs=0.0, epsrel=tol / 3.0, limit=200)
-    var = 2.0 * alpha * raw
-    var_err = 2.0 * alpha * raw_err + 3.0 * tol * var
-    return var, var_err
-
-
-def _sigma_atom_mix(spec: AtomMix, alpha: float, tol: float):
-    """t-space tail double integral for the atom/uniform mixture."""
-    if alpha <= spec.alpha:
-        return 0.0, 0.0
-    q = spec.tail_quantile(alpha)
-
-    def inner(t):
-        value, _ = integrate.quad(lambda s: spec.cdf(s), q, t,
-                                  epsabs=1e-14, epsrel=1e-11, limit=100)
-        return value * (1.0 - spec.cdf(t))
-
-    raw, raw_err = integrate.quad(inner, q, 0.0, epsabs=1e-13, epsrel=tol / 3.0, limit=100)
-    var = 2.0 * raw / (alpha * alpha)
-    return var, (2.0 * raw_err + 3.0 * tol * raw) / (alpha * alpha)
-
-
 def sigma_es(spec: DistributionSpec, alpha: float, tol: float = 1e-6) -> VarianceResult:
     """Asymptotic standard deviation sigma_ES of the plug-in estimator.
 
-    ``tol`` is a relative tolerance on sigma.  Divergence (tail not square
-    integrable: Pareto lam <= 2, Student-t nu <= 2) is decided analytically,
-    never inferred from quadrature behavior.
+    sigma^2 = Var((X - q)^+)/alpha^2 = m2/alpha - m1^2, where q is the
+    (1-alpha)-quantile and m_p the conditional p-th moment of the excess
+    e(w) = F^{-1}(1-w) - q over the upper-alpha tail, both from
+    :func:`_tail_moment`.  ``tol`` is a relative tolerance on sigma.  Since e
+    is non-increasing, m2 >= w*e(w)^2/alpha for any w < alpha and
+    sigma^2 >= (1-alpha)*m2/alpha >= m1^2*(1-alpha)/alpha; the largest such
+    lower bound over w = alpha/2, ..., alpha/1024 sets absolute tolerances
+    that keep each moment's share of the error on sigma^2 below tol/2 of it.
+    Divergence (tail not square integrable: Pareto lam <= 2, Student-t
+    nu <= 2) is decided analytically, never inferred from quadrature
+    behavior.
     """
     alpha = check_alpha(alpha)
     if not _square_integrable(spec):
@@ -365,10 +338,15 @@ def sigma_es(spec: DistributionSpec, alpha: float, tol: float = 1e-6) -> Varianc
             return VarianceResult(0.0, 0.0)
         var = spec.x**2 * (spec.p - spec.p**2) / alpha**2
         return VarianceResult(math.sqrt(var), 0.0)
-    if isinstance(spec, AtomMix):
-        var, var_err = _sigma_atom_mix(spec, alpha, tol)
-    else:
-        var, var_err = _sigma_uv_quadrature(spec, alpha, tol)
+    q = spec.tail_quantile(alpha)
+    w = alpha * 0.5 ** np.arange(1, 11)
+    floor = (1.0 - alpha) * float(np.max(w * (spec.tail_quantile(w) - q) ** 2)) / alpha**2
+    tol1 = 0.25 * tol * math.sqrt(floor * (1.0 - alpha) / alpha)
+    tol2 = 0.5 * tol * floor * alpha
+    m1 = _tail_moment(spec, alpha, tol1, 1, q)
+    m2 = _tail_moment(spec, alpha, tol2, 2, q)
+    var = m2 / alpha - m1 * m1
+    var_err = tol2 / alpha + 2.0 * m1 * tol1
     if var <= 0.0:
         return VarianceResult(0.0, math.sqrt(max(var_err, 0.0)))
     sigma = math.sqrt(var)
@@ -376,6 +354,11 @@ def sigma_es(spec: DistributionSpec, alpha: float, tol: float = 1e-6) -> Varianc
 
 
 # --- Lipschitz constants of the quantile function ----------------------------
+
+
+def _quantile_slope(spec: DistributionSpec, w):
+    """d/du F^{-1}(u) at u = 1 - w, i.e. 1/f(F^{-1}(1-w)); vectorized in w."""
+    return 1.0 / spec.pdf(spec.tail_quantile(w))
 
 
 def lipschitz_D(spec: DistributionSpec, alpha: float) -> float:

@@ -134,7 +134,13 @@ def resolve_workers(workers: int = 0) -> int:
         return workers
     env = os.environ.get("SHORTFALL_WORKERS", "")
     if env.strip():
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise ParameterError(f"SHORTFALL_WORKERS: must be an integer >= 0 (got {env!r})")
+        return max(1, count)
     return max(1, min(os.cpu_count() or 1, 8))
 
 

@@ -158,6 +158,37 @@ def test_curve_bad_config(tmp_path, capsys):
     assert code == 2 and "missing field" in err
 
 
+def test_curve_bad_workers_env(tmp_path, capsys, monkeypatch, trivial_config):
+    config, _ = trivial_config
+    monkeypatch.setenv("SHORTFALL_WORKERS", "abc")
+    code, _, err = run_cli(capsys, "curve", "--config", str(config),
+                           "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: SHORTFALL_WORKERS") and "Traceback" not in err
+
+
+def test_curve_infinite_truth_is_one_line_error(tmp_path, capsys):
+    cfg = {
+        "version": 1,
+        "process": {"kind": "iid", "dist": {"family": "pareto",
+                                            "params": {"x0": 1.0, "lam": 0.9}}},
+        "alpha": 0.1,
+        "estimators": [{"kind": "plugin"}],
+        "sample_sizes": [20],
+        "delta": 1.0,
+        "trials": 16,
+        "master_seed": 7,
+    }
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "curve", "--config", str(path),
+                           "--out", str(tmp_path / "o"), "--workers", "1")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: infinite ES") and "Traceback" not in err
+
+
 # --- hist and corrupt-demo ----------------------------------------------------------
 
 

@@ -261,3 +261,8 @@ def test_resolve_workers_env(monkeypatch):
     assert mc.resolve_workers(5) == 5
     with pytest.raises(ParameterError):
         mc.resolve_workers(-1)
+    for bad in ("abc", "2.5", "-2"):
+        monkeypatch.setenv("SHORTFALL_WORKERS", bad)
+        with pytest.raises(ParameterError, match="SHORTFALL_WORKERS"):
+            mc.resolve_workers(0)
+        assert mc.resolve_workers(4) == 4  # an explicit count ignores the env var
