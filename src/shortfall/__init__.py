@@ -45,7 +45,7 @@ from .mc import (
     DeviationCurve,
     ExperimentSpec,
     HistogramResult,
-    deviation_curve,
+    deviation_curves,
     deviation_probability,
     histogram,
     longrun_sigma_oracle,

@@ -19,6 +19,7 @@ from ``--workers`` (0 = auto, overridable via the SHORTFALL_WORKERS env var).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,11 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import mc, report
-from .corrupt import MaxShiftGaussian, NoCorruption, model_from_json, model_to_json
-from .dist import AR1, IID, process_from_json
-from .errors import ParameterError, QuadratureError, ShortfallError
-from .estim import EstimatorConfig
-from .functionals import check_alpha, es_exact, table1_rows
+from .corrupt import MaxShiftGaussian, NoCorruption, model_to_json
+from .dist import AR1, IID
+from .errors import InfiniteShortfallError, ParameterError, QuadratureError, ShortfallError
+from .estim import EstimatorConfig, truncated_es_interval
+from .functionals import check_alpha, table1_rows
 
 CONFIG_VERSION = 1
 
@@ -59,24 +60,11 @@ def _read_data_file(path: str) -> np.ndarray:
     return np.array(values)
 
 
-def _estimator_from_args(args) -> EstimatorConfig:
-    return EstimatorConfig(
-        kind=args.kind,
-        m=args.m,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        gap=args.gap,
-        trim_c=args.trim_c,
-        trim_exponent=args.trim_exp,
-    )
-
-
 def cmd_estimate(args) -> int:
     data = _read_data_file(args.data_file)
-    est = _estimator_from_args(args)
+    est = EstimatorConfig(kind=args.kind, m=args.m, beta1=args.beta1, beta2=args.beta2,
+                          gap=args.gap, trim_c=args.trim_c, trim_exponent=args.trim_exp)
     if est.kind == "truncated":
-        from .estim import truncated_es_interval
-
         value, lower, upper = truncated_es_interval(
             data, args.alpha, est.m, est.beta1, est.beta2, est.gap
         )
@@ -89,9 +77,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-    for a in alphas:
-        check_alpha(a)
+    try:
+        alphas = [check_alpha(a) for a in args.alphas.split(",") if a.strip()]
+    except ValueError as exc:
+        raise _fail(f"--alphas: {exc}")
     try:
         rows = table1_rows(alphas)
     except QuadratureError as exc:
@@ -106,7 +95,8 @@ def cmd_table1(args) -> int:
 # --- config-driven experiment commands ----------------------------------------
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple[dict, mc.ExperimentSpec]:
+    """The raw config (recorded in run_meta.json) and the experiment it specifies."""
     try:
         cfg = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -115,52 +105,18 @@ def _load_config(path: str) -> dict:
         raise _fail(f"{path}: invalid JSON: {exc}")
     if cfg.get("version") != CONFIG_VERSION:
         raise _fail(f"{path}: expected \"version\": {CONFIG_VERSION}")
-    return cfg
+    try:
+        return cfg, mc.ExperimentSpec.from_json(cfg)
+    except KeyError as exc:
+        raise _fail(f"config: missing field {exc.args[0]!r}")
+    except InfiniteShortfallError:  # the process, not a field, is at fault: main reports it
+        raise
+    except (ParameterError, TypeError, ValueError) as exc:
+        raise _fail(f"config: {exc}")
 
 
-class _Experiment:
-    """A parsed config: shared process/levels plus one or more estimators."""
-
-    def __init__(self, cfg: dict):
-        try:
-            self.process = process_from_json(cfg["process"])
-            raw_estimators = cfg.get("estimators")
-            if not raw_estimators:
-                raise ParameterError("estimators: config must list at least one estimator")
-            self.estimators = [EstimatorConfig.from_json(e) for e in raw_estimators]
-            self.alpha = check_alpha(cfg["alpha"])
-            self.sample_sizes = [int(n) for n in cfg["sample_sizes"]]
-            self.delta = float(cfg["delta"])
-            self.trials = int(cfg["trials"])
-            self.master_seed = int(cfg["master_seed"])
-            self.corruption = model_from_json(cfg.get("corruption"))
-        except KeyError as exc:
-            raise _fail(f"config: missing field {exc.args[0]!r}")
-        except (ParameterError, TypeError, ValueError) as exc:
-            raise _fail(f"config: {exc}")
-        truth = cfg.get("truth")
-        if truth is None:
-            marginal = self.process.dist if isinstance(self.process, IID) else self.process.marginal
-            self.truth = es_exact(marginal, self.alpha)
-        else:
-            self.truth = float(truth)
-        self.config = cfg
-
-    def spec_for(self, estimator: EstimatorConfig, corruption=None) -> mc.ExperimentSpec:
-        return mc.ExperimentSpec(
-            process=self.process,
-            estimator=estimator,
-            alpha=self.alpha,
-            sample_sizes=tuple(self.sample_sizes),
-            delta=self.delta,
-            trials=self.trials,
-            master_seed=self.master_seed,
-            corruption=self.corruption if corruption is None else corruption,
-            truth=self.truth,
-        )
-
-    def file_tag(self, index: int) -> str:
-        return f"{index}_{self.estimators[index].kind}"
+def _file_tag(spec: mc.ExperimentSpec, index: int) -> str:
+    return f"{index}_{spec.estimators[index].kind}"
 
 
 def _prepare_out(args, cfg: dict) -> Path:
@@ -178,57 +134,53 @@ def _prepare_out(args, cfg: dict) -> Path:
     return out
 
 
-def cmd_curve(args) -> int:
-    cfg = _load_config(args.config)
-    exp = _Experiment(cfg)
-    out = _prepare_out(args, cfg)
-    curves = []
-    per_n = {n: mc.run_trials_multi(exp.process, exp.estimators, exp.alpha, n,
-                                    exp.trials, exp.master_seed, exp.corruption,
-                                    workers=args.workers)
-             for n in exp.sample_sizes}
-    for i, est in enumerate(exp.estimators):
-        points = []
-        for n in exp.sample_sizes:
-            p, se, c = mc.deviation_probability(per_n[n][i], exp.truth, exp.delta)
-            points.append(mc.CurvePoint(n, p, se, c))
-        curve = mc.DeviationCurve(exp.delta, exp.trials, tuple(points))
-        curves.append((est.label(), curve))
-        path = out / f"curve_{exp.file_tag(i)}.csv"
+def _write_svg(path: Path, svg: str) -> None:
+    path.write_text(svg, newline="\n")
+    print(f"wrote {path}")
+
+
+def _write_curves(args, out: Path, spec: mc.ExperimentSpec, curves, title: str) -> None:
+    for i, curve in enumerate(curves):
+        path = out / f"curve_{_file_tag(spec, i)}.csv"
         path.write_text(report.curve_to_csv(curve), newline="\n")
         print(f"wrote {path}")
     if args.svg:
-        (out / "curve.svg").write_text(
-            report.curve_svg(curves, title=f"delta={exp.delta:g}"), newline="\n"
-        )
-        print(f"wrote {out / 'curve.svg'}")
+        labelled = [(est.label(), c) for est, c in zip(spec.estimators, curves)]
+        _write_svg(out / "curve.svg", report.curve_svg(labelled, title=title))
+
+
+def cmd_curve(args) -> int:
+    cfg, spec = _load_config(args.config)
+    out = _prepare_out(args, cfg)
+    curves = mc.deviation_curves(spec, workers=args.workers)
+    _write_curves(args, out, spec, curves, f"delta={spec.delta:g}")
     return 0
 
 
-def _single_n(args, exp: _Experiment) -> int:
-    n = args.n if args.n else exp.sample_sizes[-1]
-    if n not in exp.sample_sizes:
-        raise _fail(f"--n {n} is not one of the config sample_sizes {exp.sample_sizes}")
+def _single_n(args, spec: mc.ExperimentSpec) -> int:
+    n = args.n if args.n else spec.sample_sizes[-1]
+    if n not in spec.sample_sizes:
+        raise _fail(f"--n {n} is not one of the config sample_sizes {list(spec.sample_sizes)}")
     return n
 
 
-def cmd_hist(args) -> int:
-    cfg = _load_config(args.config)
-    exp = _Experiment(cfg)
-    out = _prepare_out(args, cfg)
-    n = _single_n(args, exp)
-    results = mc.run_trials_multi(exp.process, exp.estimators, exp.alpha, n,
-                                  exp.trials, exp.master_seed, exp.corruption,
-                                  workers=args.workers)
-    for i, est in enumerate(exp.estimators):
+def _write_histograms(args, out: Path, spec: mc.ExperimentSpec, results, phase=None) -> None:
+    for i, est in enumerate(spec.estimators):
         hist = mc.histogram(results[i], args.bins)
-        path = out / f"hist_{exp.file_tag(i)}.csv"
+        stem = f"hist_{_file_tag(spec, i)}" + (f"_{phase}" if phase else "")
+        path = out / f"{stem}.csv"
         path.write_text(report.histogram_to_csv(hist), newline="\n")
         print(f"wrote {path}")
         if args.svg:
-            svg = out / f"hist_{exp.file_tag(i)}.svg"
-            svg.write_text(report.histogram_svg(hist, title=est.label()), newline="\n")
-            print(f"wrote {svg}")
+            title = f"{est.label()} ({phase})" if phase else est.label()
+            _write_svg(out / f"{stem}.svg", report.histogram_svg(hist, title=title))
+
+
+def cmd_hist(args) -> int:
+    cfg, spec = _load_config(args.config)
+    out = _prepare_out(args, cfg)
+    n = _single_n(args, spec)
+    _write_histograms(args, out, spec, mc.run_trials(spec, n, workers=args.workers))
     return 0
 
 
@@ -236,61 +188,29 @@ DEMO_CORRUPTION = MaxShiftGaussian(k=3, mu=5.0, sigma=250.0)
 
 
 def cmd_corrupt_demo(args) -> int:
-    cfg = _load_config(args.config)
-    exp = _Experiment(cfg)
+    cfg, spec = _load_config(args.config)
     out = _prepare_out(args, cfg)
-    n = _single_n(args, exp)
-    corruption = exp.corruption if not isinstance(exp.corruption, NoCorruption) else DEMO_CORRUPTION
-    clean = mc.run_trials_multi(exp.process, exp.estimators, exp.alpha, n,
-                                exp.trials, exp.master_seed, NoCorruption(),
-                                workers=args.workers)
-    dirty = mc.run_trials_multi(exp.process, exp.estimators, exp.alpha, n,
-                                exp.trials, exp.master_seed, corruption,
-                                workers=args.workers)
+    n = _single_n(args, spec)
+    corruption = spec.corruption if not isinstance(spec.corruption, NoCorruption) else DEMO_CORRUPTION
+    clean = mc.run_trials(dataclasses.replace(spec, corruption=NoCorruption()), n, args.workers)
+    dirty = mc.run_trials(dataclasses.replace(spec, corruption=corruption), n, args.workers)
     print(f"corruption: {model_to_json(corruption)}")
-    for i, est in enumerate(exp.estimators):
-        for label, results in (("clean", clean), ("corrupted", dirty)):
-            hist = mc.histogram(results[i], args.bins)
-            path = out / f"hist_{exp.file_tag(i)}_{label}.csv"
-            path.write_text(report.histogram_to_csv(hist), newline="\n")
-            print(f"wrote {path}")
-            if args.svg:
-                svg = out / f"hist_{exp.file_tag(i)}_{label}.svg"
-                svg.write_text(
-                    report.histogram_svg(hist, title=f"{est.label()} ({label})"),
-                    newline="\n",
-                )
+    _write_histograms(args, out, spec, clean, "clean")
+    _write_histograms(args, out, spec, dirty, "corrupted")
     return 0
 
 
 def cmd_mixing(args) -> int:
-    cfg = _load_config(args.config)
-    exp = _Experiment(cfg)
-    if not isinstance(exp.process, AR1):
+    cfg, spec = _load_config(args.config)
+    if not isinstance(spec.process, AR1):
         raise _fail("config: the mixing command expects an \"ar1\" process")
     out = _prepare_out(args, cfg)
+    curves = mc.deviation_curves(spec, workers=args.workers)
+    _write_curves(args, out, spec, curves, f"AR(1) rho={spec.process.rho:g}")
     summary = ["estimator,N,median_abs_error,p_hat,stderr,count"]
-    curves = []
-    per_n = {n: mc.run_trials_multi(exp.process, exp.estimators, exp.alpha, n,
-                                    exp.trials, exp.master_seed, exp.corruption,
-                                    workers=args.workers)
-             for n in exp.sample_sizes}
-    for i, est in enumerate(exp.estimators):
-        points = []
-        for n in exp.sample_sizes:
-            estimates = per_n[n][i]
-            p, se, c = mc.deviation_probability(estimates, exp.truth, exp.delta)
-            med = float(np.median(np.abs(estimates - exp.truth)))
-            points.append(mc.CurvePoint(n, p, se, c))
-            summary.append(
-                f"{est.kind},{n},{report.format_number(med)},"
-                f"{report.format_number(p)},{report.format_number(se)},{c}"
-            )
-        curve = mc.DeviationCurve(exp.delta, exp.trials, tuple(points))
-        curves.append((est.label(), curve))
-        path = out / f"curve_{exp.file_tag(i)}.csv"
-        path.write_text(report.curve_to_csv(curve), newline="\n")
-        print(f"wrote {path}")
+    summary += [f"{est.kind},{pt.n},{report.format_number(pt.median_abs_error)},"
+                f"{report.format_number(pt.p_hat)},{report.format_number(pt.stderr)},{pt.count}"
+                for est, curve in zip(spec.estimators, curves) for pt in curve.points]
     (out / "mixing_summary.csv").write_text("\n".join(summary) + "\n", newline="\n")
     print(f"wrote {out / 'mixing_summary.csv'}")
 
@@ -298,16 +218,12 @@ def cmd_mixing(args) -> int:
     block_size = int(oracle_cfg.get("block_size", 10_000))
     blocks = int(oracle_cfg.get("blocks", 200))
     lines = ["process,block_size,blocks,sigma2"]
-    for label, process in (("ar1", exp.process), ("iid_normal", IID(exp.process.marginal))):
-        sigma2 = mc.longrun_sigma_oracle(process, exp.alpha, block_size, blocks,
-                                         exp.master_seed)
+    for label, process in (("ar1", spec.process), ("iid_normal", IID(spec.process.marginal))):
+        sigma2 = mc.longrun_sigma_oracle(process, spec.alpha, block_size, blocks,
+                                         spec.master_seed)
         lines.append(f"{label},{block_size},{blocks},{report.format_number(sigma2)}")
     (out / "longrun_sigma.csv").write_text("\n".join(lines) + "\n", newline="\n")
     print(f"wrote {out / 'longrun_sigma.csv'}")
-    if args.svg:
-        (out / "curve.svg").write_text(
-            report.curve_svg(curves, title=f"AR(1) rho={exp.process.rho:g}"), newline="\n"
-        )
     return 0
 
 

@@ -14,6 +14,7 @@ inverses (``ndtri`` / ``stdtrit``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -55,14 +56,20 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ParameterError(f"{field}: {message}")
 
 
-def _as_float_array(u):
-    arr = np.asarray(u, dtype=np.float64)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
+def _family(cls):
+    """Class decorator: ``cdf``, ``quantile``, ``pdf`` and ``tail_quantile`` get
+    a float64 array of at least one dimension; a scalar argument gets a float."""
+    def array_in_scalar_out(method):
+        @functools.wraps(method)
+        def wrapper(self, x):
+            arr = np.asarray(x, dtype=np.float64)
+            out = method(self, np.atleast_1d(arr))
+            return float(out[0]) if arr.ndim == 0 else out
+        return wrapper
 
-
-def _maybe_scalar(values: np.ndarray, scalar: bool):
-    return float(values[0]) if scalar else values
+    for name in ("cdf", "quantile", "pdf", "tail_quantile"):
+        setattr(cls, name, array_in_scalar_out(vars(cls)[name]))
+    return cls
 
 
 def _check_u(u: np.ndarray) -> None:
@@ -70,6 +77,7 @@ def _check_u(u: np.ndarray) -> None:
         raise ParameterError("u: quantile level must lie in [0, 1]")
 
 
+@_family
 @dataclass(frozen=True)
 class Normal:
     """Normal distribution with mean ``mu`` and standard deviation ``sigma``."""
@@ -81,26 +89,21 @@ class Normal:
         _require(self.sigma > 0.0, "sigma", f"must be > 0 (got {self.sigma})")
 
     def cdf(self, t):
-        t, scalar = _as_float_array(t)
-        return _maybe_scalar(sp.ndtr((t - self.mu) / self.sigma), scalar)
+        return sp.ndtr((t - self.mu) / self.sigma)
 
     def quantile(self, u):
-        u, scalar = _as_float_array(u)
         _check_u(u)
         if np.any(u == 0.0):
             raise ParameterError("u: quantile(0) undefined for a distribution unbounded below")
-        return _maybe_scalar(self.mu + self.sigma * sp.ndtri(u), scalar)
+        return self.mu + self.sigma * sp.ndtri(u)
 
     def pdf(self, t):
-        t, scalar = _as_float_array(t)
         z = (t - self.mu) / self.sigma
-        out = np.exp(-0.5 * z * z) / (_SQRT_2PI * self.sigma)
-        return _maybe_scalar(out, scalar)
+        return np.exp(-0.5 * z * z) / (_SQRT_2PI * self.sigma)
 
     def tail_quantile(self, w):
         """Upper-tail quantile F^{-1}(1 - w), stable for tiny w."""
-        w, scalar = _as_float_array(w)
-        return _maybe_scalar(self.mu - self.sigma * sp.ndtri(w), scalar)
+        return self.mu - self.sigma * sp.ndtri(w)
 
 
 def _t_inverse(nu: float, p: np.ndarray) -> np.ndarray:
@@ -114,6 +117,26 @@ def _t_inverse(nu: float, p: np.ndarray) -> np.ndarray:
     return polished
 
 
+def _t_tail(nu: float, w: np.ndarray) -> np.ndarray:
+    """Student-t F^{-1}(1 - w), finite and accurate down to w = 1e-300.
+
+    Where x = nu/(nu + t^2) < 1e-9, ``stdtrit`` loses accuracy and then
+    range.  There the tail series 2w = x^a sqrt(1 - x) (1 + (a + 1/2)/(a + 1) x
+    + O(x^2)) / (a B(a, 1/2)), a = nu/2, is inverted with its O(x) factor
+    taken at the leading-order x; t = sqrt(nu (1 - x) / x) comes from powers
+    of 2w, which keeps the error near the 1e-14 that rounding 1/nu alone
+    causes at w = 1e-300.
+    """
+    a = 0.5 * nu
+    scale = a * sp.beta(a, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = (2.0 * w * scale) ** (1.0 / a)
+        factor = np.sqrt(1.0 - x) * (1.0 + (a + 0.5) / (a + 1.0) * x)
+        far = np.sqrt(nu * (1.0 - x)) * (2.0 * w) ** (-1.0 / nu) * (scale / factor) ** (-1.0 / nu)
+        return np.where(x < 1e-9, far, -_t_inverse(nu, w))
+
+
+@_family
 @dataclass(frozen=True)
 class StudentT:
     """Student-t distribution with ``nu`` degrees of freedom (location 0, scale 1)."""
@@ -124,31 +147,26 @@ class StudentT:
         _require(self.nu > 0.0, "nu", f"must be > 0 (got {self.nu})")
 
     def cdf(self, t):
-        t, scalar = _as_float_array(t)
-        return _maybe_scalar(sp.stdtr(self.nu, t), scalar)
+        return sp.stdtr(self.nu, t)
 
     def quantile(self, u):
-        u, scalar = _as_float_array(u)
         _check_u(u)
         if np.any(u == 0.0):
             raise ParameterError("u: quantile(0) undefined for a distribution unbounded below")
         q = _t_inverse(self.nu, np.minimum(u, 1.0 - 1e-16))
-        out = np.where(u == 1.0, np.inf, q)
-        return _maybe_scalar(out, scalar)
+        return np.where(u == 1.0, np.inf, q)
 
     def pdf(self, t):
-        t, scalar = _as_float_array(t)
         nu = self.nu
         lognorm = sp.gammaln((nu + 1.0) / 2.0) - sp.gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
-        out = np.exp(lognorm - ((nu + 1.0) / 2.0) * np.log1p(t * t / nu))
-        return _maybe_scalar(out, scalar)
+        return np.exp(lognorm - ((nu + 1.0) / 2.0) * np.log1p(t * t / nu))
 
     def tail_quantile(self, w):
         """Upper-tail quantile F^{-1}(1 - w), stable for tiny w."""
-        w, scalar = _as_float_array(w)
-        return _maybe_scalar(-_t_inverse(self.nu, w), scalar)
+        return _t_tail(self.nu, w)
 
 
+@_family
 @dataclass(frozen=True)
 class Logistic:
     """Logistic distribution with the given location and scale."""
@@ -160,33 +178,27 @@ class Logistic:
         _require(self.scale > 0.0, "scale", f"must be > 0 (got {self.scale})")
 
     def cdf(self, t):
-        t, scalar = _as_float_array(t)
-        return _maybe_scalar(sp.expit((t - self.location) / self.scale), scalar)
+        return sp.expit((t - self.location) / self.scale)
 
     def quantile(self, u):
-        u, scalar = _as_float_array(u)
         _check_u(u)
         if np.any(u == 0.0):
             raise ParameterError("u: quantile(0) undefined for a distribution unbounded below")
         with np.errstate(divide="ignore"):
-            out = self.location + self.scale * (np.log(u) - np.log1p(-u))
-        return _maybe_scalar(out, scalar)
+            return self.location + self.scale * (np.log(u) - np.log1p(-u))
 
     def pdf(self, t):
-        t, scalar = _as_float_array(t)
         z = np.abs(t - self.location) / self.scale
         e = np.exp(-z)
-        out = e / (self.scale * (1.0 + e) ** 2)
-        return _maybe_scalar(out, scalar)
+        return e / (self.scale * (1.0 + e) ** 2)
 
     def tail_quantile(self, w):
         """Upper-tail quantile F^{-1}(1 - w), stable for tiny w."""
-        w, scalar = _as_float_array(w)
         with np.errstate(divide="ignore"):
-            out = self.location + self.scale * (np.log1p(-w) - np.log(w))
-        return _maybe_scalar(out, scalar)
+            return self.location + self.scale * (np.log1p(-w) - np.log(w))
 
 
+@_family
 @dataclass(frozen=True)
 class Lognormal:
     """Lognormal: exp(N(mu, sigma^2)); support (0, inf)."""
@@ -198,35 +210,30 @@ class Lognormal:
         _require(self.sigma > 0.0, "sigma", f"must be > 0 (got {self.sigma})")
 
     def cdf(self, t):
-        t, scalar = _as_float_array(t)
         out = np.zeros_like(t)
         pos = t > 0.0
         out[pos] = sp.ndtr((np.log(t[pos]) - self.mu) / self.sigma)
-        return _maybe_scalar(out, scalar)
+        return out
 
     def quantile(self, u):
-        u, scalar = _as_float_array(u)
         _check_u(u)
         with np.errstate(divide="ignore"):
-            out = np.exp(self.mu + self.sigma * sp.ndtri(u))
-        return _maybe_scalar(out, scalar)
+            return np.exp(self.mu + self.sigma * sp.ndtri(u))
 
     def pdf(self, t):
-        t, scalar = _as_float_array(t)
         out = np.zeros_like(t)
         pos = t > 0.0
         z = (np.log(t[pos]) - self.mu) / self.sigma
         out[pos] = np.exp(-0.5 * z * z) / (_SQRT_2PI * self.sigma * t[pos])
-        return _maybe_scalar(out, scalar)
+        return out
 
     def tail_quantile(self, w):
         """Upper-tail quantile F^{-1}(1 - w), stable for tiny w."""
-        w, scalar = _as_float_array(w)
         with np.errstate(over="ignore"):
-            out = np.exp(self.mu - self.sigma * sp.ndtri(w))
-        return _maybe_scalar(out, scalar)
+            return np.exp(self.mu - self.sigma * sp.ndtri(w))
 
 
+@_family
 @dataclass(frozen=True)
 class Pareto:
     """Pareto distribution: F(t) = 1 - (x0/t)^lam on [x0, inf)."""
@@ -239,34 +246,29 @@ class Pareto:
         _require(self.lam > 0.0, "lam", f"must be > 0 (got {self.lam})")
 
     def cdf(self, t):
-        t, scalar = _as_float_array(t)
         out = np.zeros_like(t)
         inside = t >= self.x0
         out[inside] = 1.0 - (self.x0 / t[inside]) ** self.lam
-        return _maybe_scalar(out, scalar)
+        return out
 
     def quantile(self, u):
-        u, scalar = _as_float_array(u)
         _check_u(u)
         with np.errstate(divide="ignore"):
-            out = self.x0 * (1.0 - u) ** (-1.0 / self.lam)
-        return _maybe_scalar(out, scalar)
+            return self.x0 * (1.0 - u) ** (-1.0 / self.lam)
 
     def pdf(self, t):
-        t, scalar = _as_float_array(t)
         out = np.zeros_like(t)
         inside = t >= self.x0
         out[inside] = self.lam * self.x0**self.lam * t[inside] ** (-self.lam - 1.0)
-        return _maybe_scalar(out, scalar)
+        return out
 
     def tail_quantile(self, w):
         """Upper-tail quantile F^{-1}(1 - w), stable for tiny w."""
-        w, scalar = _as_float_array(w)
         with np.errstate(divide="ignore", over="ignore"):
-            out = self.x0 * w ** (-1.0 / self.lam)
-        return _maybe_scalar(out, scalar)
+            return self.x0 * w ** (-1.0 / self.lam)
 
 
+@_family
 @dataclass(frozen=True)
 class Exponential:
     """Exponential distribution with the given rate; support [0, inf)."""
@@ -277,30 +279,23 @@ class Exponential:
         _require(self.rate > 0.0, "rate", f"must be > 0 (got {self.rate})")
 
     def cdf(self, t):
-        t, scalar = _as_float_array(t)
-        out = np.where(t >= 0.0, -np.expm1(-self.rate * np.maximum(t, 0.0)), 0.0)
-        return _maybe_scalar(out, scalar)
+        return np.where(t >= 0.0, -np.expm1(-self.rate * np.maximum(t, 0.0)), 0.0)
 
     def quantile(self, u):
-        u, scalar = _as_float_array(u)
         _check_u(u)
         with np.errstate(divide="ignore"):
-            out = -np.log1p(-u) / self.rate
-        return _maybe_scalar(out, scalar)
+            return -np.log1p(-u) / self.rate
 
     def pdf(self, t):
-        t, scalar = _as_float_array(t)
-        out = np.where(t >= 0.0, self.rate * np.exp(-self.rate * np.maximum(t, 0.0)), 0.0)
-        return _maybe_scalar(out, scalar)
+        return np.where(t >= 0.0, self.rate * np.exp(-self.rate * np.maximum(t, 0.0)), 0.0)
 
     def tail_quantile(self, w):
         """Upper-tail quantile F^{-1}(1 - w), stable for tiny w."""
-        w, scalar = _as_float_array(w)
         with np.errstate(divide="ignore"):
-            out = -np.log(w) / self.rate
-        return _maybe_scalar(out, scalar)
+            return -np.log(w) / self.rate
 
 
+@_family
 @dataclass(frozen=True)
 class ScaledBernoulli:
     """Two-point law: mass 1-p at 0 and mass p at x > 0."""
@@ -313,32 +308,29 @@ class ScaledBernoulli:
         _require(self.x > 0.0, "x", f"must be > 0 (got {self.x})")
 
     def cdf(self, t):
-        t, scalar = _as_float_array(t)
-        out = np.where(t < 0.0, 0.0, np.where(t < self.x, 1.0 - self.p, 1.0))
-        return _maybe_scalar(out, scalar)
+        return np.where(t < 0.0, 0.0, np.where(t < self.x, 1.0 - self.p, 1.0))
 
     def quantile(self, u):
         # Generalized inverse of the two-step CDF; quantile(0) is the support
         # infimum (0, or x when p = 1).
-        u, scalar = _as_float_array(u)
         _check_u(u)
         out = np.where(u > 1.0 - self.p, self.x, 0.0)
         if self.p >= 1.0:
             out = np.full_like(out, self.x)
-        return _maybe_scalar(out, scalar)
+        return out
 
     def pdf(self, t):
         raise NoDensityError("ScaledBernoulli is atomic: no density exists")
 
     def tail_quantile(self, w):
         """Upper-tail quantile F^{-1}(1 - w)."""
-        w, scalar = _as_float_array(w)
         out = np.where(w < self.p, self.x, 0.0)
         if self.p >= 1.0:
             out = np.full_like(out, self.x)
-        return _maybe_scalar(out, scalar)
+        return out
 
 
+@_family
 @dataclass(frozen=True)
 class AtomMix:
     """Atom/uniform mixture used as a zero-variance fixture.
@@ -359,37 +351,29 @@ class AtomMix:
                  f"alpha + delta must be < 1 (got {self.alpha + self.delta})")
 
     def cdf(self, t):
-        t, scalar = _as_float_array(t)
         base = 1.0 - self.alpha - self.delta
         ramp = base + self.delta * (t - self.x0) / abs(self.x0)
-        out = np.where(t < self.x0, 0.0, np.where(t < 0.0, ramp, 1.0))
-        return _maybe_scalar(out, scalar)
+        return np.where(t < self.x0, 0.0, np.where(t < 0.0, ramp, 1.0))
 
     def quantile(self, u):
-        u, scalar = _as_float_array(u)
         _check_u(u)
         base = 1.0 - self.alpha - self.delta
         with np.errstate(invalid="ignore", divide="ignore"):
             ramp = self.x0 + (u - base) * abs(self.x0) / self.delta
-        out = np.where(u <= base, self.x0, np.where(u <= 1.0 - self.alpha, ramp, 0.0))
-        return _maybe_scalar(out, scalar)
+        return np.where(u <= base, self.x0, np.where(u <= 1.0 - self.alpha, ramp, 0.0))
 
     def pdf(self, t):
-        t, scalar = _as_float_array(t)
         at_atom = (t == self.x0) | (t == 0.0)
         if np.any(at_atom):
             raise NoDensityError("AtomMix has atoms at x0 and 0: no density there")
-        out = np.where((t > self.x0) & (t < 0.0), self.delta / abs(self.x0), 0.0)
-        return _maybe_scalar(out, scalar)
+        return np.where((t > self.x0) & (t < 0.0), self.delta / abs(self.x0), 0.0)
 
     def tail_quantile(self, w):
         """Upper-tail quantile F^{-1}(1 - w)."""
-        w, scalar = _as_float_array(w)
         with np.errstate(invalid="ignore", divide="ignore"):
             ramp = self.x0 + (self.alpha + self.delta - w) * abs(self.x0) / self.delta
-        out = np.where(w <= self.alpha, 0.0,
-                       np.where(w <= self.alpha + self.delta, ramp, self.x0))
-        return _maybe_scalar(out, scalar)
+        return np.where(w <= self.alpha, 0.0,
+                        np.where(w <= self.alpha + self.delta, ramp, self.x0))
 
 
 #: Families whose support is bounded below (quantile(0) = essential infimum).

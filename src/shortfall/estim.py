@@ -18,14 +18,17 @@ consecutive blocks of size m, and ``gap = m`` keeps every other block (the
 layout used for weakly dependent data, where the discarded spacer blocks
 decouple the retained ones).
 
-All estimators come in a scalar form (one sample) and a ``*_batch`` form
-operating row-wise on a (trials, N) matrix; the batch forms are exact
-vectorizations used by the Monte Carlo engine and rely on ``np.partition``
-instead of full sorts.
+Each estimator has one kernel, its ``*_batch`` form, which works row-wise on a
+(trials, N) matrix and relies on ``np.partition`` instead of full sorts.  The
+scalar form validates one sample and runs that kernel on a one-row matrix, so
+both forms give the same bits.  :func:`evaluate_many` evaluates several
+estimators on one matrix and computes the full-sample plug-in and the sorted
+block estimates of each block layout once; the Monte Carlo engine uses it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -51,6 +54,7 @@ __all__ = [
     "truncated_es_batch",
     "median_of_blocks_batch",
     "trimmed_es_batch",
+    "evaluate_many",
 ]
 
 THEORY_BETA_RANGE = (0.35, 0.65)
@@ -73,6 +77,11 @@ def _as_sample(values) -> np.ndarray:
     return arr
 
 
+def _one_row(values) -> np.ndarray:
+    """A validated sample as the (1, N) matrix its scalar estimator runs on."""
+    return _as_sample(values)[None, :]
+
+
 def _as_batch(samples) -> np.ndarray:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] == 0:
@@ -86,15 +95,24 @@ def _top_index(n: int, alpha: float) -> int:
     return min(int(math.floor((1.0 - alpha) * n)), n - 1)
 
 
+def _tail_mean(part: np.ndarray, k: int, n: int, alpha: float) -> np.ndarray:
+    """Row-wise plug-in of the first ``n`` columns of ``part``, partitioned at ``k``."""
+    boundary_w = (k + 1.0) / n - max(k / n, 1.0 - alpha)
+    top_sum = part[:, k + 1: n].sum(axis=-1)
+    out = (top_sum / n + boundary_w * part[:, k]) / alpha
+    over = ~np.isfinite(top_sum)
+    if over.any():
+        # A sum of finite values near 1e308 can overflow while their weighted
+        # mean cannot: add those rows again at an exact power-of-two scale.
+        scale = 2.0 ** -math.ceil(math.log2(n))
+        rows = part[over] * scale
+        out[over] = (rows[:, k + 1: n].sum(axis=-1) / n + boundary_w * rows[:, k]) / alpha / scale
+    return out
+
+
 def plugin_es(sample, alpha: float) -> float:
     """Plug-in expected shortfall: the exact weighted order-statistic sum."""
-    alpha = check_alpha(alpha)
-    values = np.sort(_as_sample(sample))
-    n = values.size
-    k = _top_index(n, alpha)
-    i = np.arange(k + 1, n + 1, dtype=np.float64)
-    weights = i / n - np.maximum((i - 1.0) / n, 1.0 - alpha)
-    return float(weights @ values[k:] / alpha)
+    return float(plugin_es_batch(_one_row(sample), alpha)[0])
 
 
 def plugin_es_batch(samples, alpha: float) -> np.ndarray:
@@ -103,10 +121,7 @@ def plugin_es_batch(samples, alpha: float) -> np.ndarray:
     a = _as_batch(samples)
     n = a.shape[1]
     k = _top_index(n, alpha)
-    part = np.partition(a, k, axis=-1)
-    boundary_w = (k + 1.0) / n - max(k / n, 1.0 - alpha)
-    top_sum = part[..., k + 1:].sum(axis=-1)
-    return (top_sum / n + boundary_w * part[..., k]) / alpha
+    return _tail_mean(np.partition(a, k, axis=-1), k, n, alpha)
 
 
 def interp_quantile(values, beta: float) -> float:
@@ -115,17 +130,13 @@ def interp_quantile(values, beta: float) -> float:
     Breakpoints sit at (j-1)/(n-1) for the j-th order statistic, j = 1..n.
     A single value is returned as-is (documented extension of the n >= 2 case).
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ParameterError(f"beta: must lie in [0, 1] (got {beta})")
-    values = _as_sample(values)
-    if values.size == 1:
-        return float(values[0])
-    ordered = np.sort(values)
-    return float(_interp_sorted(ordered[None, :], beta)[0])
+    return float(interp_quantile_rows(_one_row(values), beta)[0])
 
 
 def _interp_sorted(ordered: np.ndarray, beta: float) -> np.ndarray:
     n = ordered.shape[-1]
+    if n == 1:
+        return ordered[..., 0].copy()
     position = beta * (n - 1)
     j = min(int(math.floor(position)), n - 2)
     frac = position - j
@@ -136,10 +147,7 @@ def interp_quantile_rows(values, beta: float) -> np.ndarray:
     """Row-wise :func:`interp_quantile` for a 2-d array."""
     if not 0.0 <= beta <= 1.0:
         raise ParameterError(f"beta: must lie in [0, 1] (got {beta})")
-    arr = _as_batch(values)
-    if arr.shape[1] == 1:
-        return arr[:, 0].copy()
-    return _interp_sorted(np.sort(arr, axis=-1), beta)
+    return _interp_sorted(np.sort(_as_batch(values), axis=-1), beta)
 
 
 def _block_count(n: int, m: int, gap: int) -> int:
@@ -169,9 +177,7 @@ def block_estimates(sample, alpha: float, m: int, gap: int = 0) -> np.ndarray:
     Blocks of size ``m`` are taken with stride ``m + gap``; each stride keeps
     its trailing block, so with ``gap = m`` only every other block survives.
     """
-    alpha = check_alpha(alpha)
-    values = _as_sample(sample)
-    return plugin_es_batch(_block_view(values[None, :], m, gap)[0], alpha)
+    return block_estimates_batch(_one_row(sample), alpha, m, gap)[0]
 
 
 def block_estimates_batch(samples, alpha: float, m: int, gap: int = 0) -> np.ndarray:
@@ -182,6 +188,10 @@ def block_estimates_batch(samples, alpha: float, m: int, gap: int = 0) -> np.nda
     n_rows, n_blocks, width = blocks.shape
     flat = plugin_es_batch(blocks.reshape(n_rows * n_blocks, width), alpha)
     return flat.reshape(n_rows, n_blocks)
+
+
+def _sorted_blocks(a: np.ndarray, alpha: float, m: int, gap: int) -> np.ndarray:
+    return np.sort(block_estimates_batch(a, alpha, m, gap), axis=-1)
 
 
 def _check_betas(beta1: float, beta2: float) -> None:
@@ -205,19 +215,20 @@ def _require_two_blocks(n: int, m: int, gap: int) -> None:
         raise ParameterError(f"m: need >= 2 complete blocks; {hint}")
 
 
+def _clamp(full: np.ndarray, blocks: np.ndarray, beta1: float, beta2: float):
+    """The truncated kernel: ``full`` clamped to quantiles of sorted ``blocks``."""
+    lower = _interp_sorted(blocks, beta1)
+    upper = _interp_sorted(blocks, beta2)
+    return np.minimum(np.maximum(full, lower), upper), lower, upper
+
+
 def truncated_es_interval(sample, alpha: float, m: int = DEFAULT_M,
                           beta1: float = DEFAULT_BETA1, beta2: float = DEFAULT_BETA2,
                           gap: int = 0) -> tuple[float, float, float]:
     """(estimate, lower clamp, upper clamp) of the truncated estimator."""
-    alpha = check_alpha(alpha)
-    _check_betas(beta1, beta2)
-    values = _as_sample(sample)
-    _require_two_blocks(values.size, m, gap)
-    blocks = np.sort(block_estimates(values, alpha, m, gap))
-    lower = float(_interp_sorted(blocks[None, :], beta1)[0])
-    upper = float(_interp_sorted(blocks[None, :], beta2)[0])
-    full = plugin_es(values, alpha)
-    return min(max(full, lower), upper), lower, upper
+    rows = truncated_es_batch(_one_row(sample), alpha, m, beta1, beta2, gap,
+                              return_interval=True)
+    return tuple(float(r[0]) for r in rows)
 
 
 def truncated_es(sample, alpha: float, m: int = DEFAULT_M,
@@ -235,36 +246,25 @@ def truncated_es_batch(samples, alpha: float, m: int = DEFAULT_M,
     _check_betas(beta1, beta2)
     a = _as_batch(samples)
     _require_two_blocks(a.shape[1], m, gap)
-    blocks = np.sort(block_estimates_batch(a, alpha, m, gap), axis=-1)
-    lower = _interp_sorted(blocks, beta1)
-    upper = _interp_sorted(blocks, beta2)
-    full = plugin_es_batch(a, alpha)
-    clamped = np.minimum(np.maximum(full, lower), upper)
-    if return_interval:
-        return clamped, lower, upper
-    return clamped
+    rows = _clamp(plugin_es_batch(a, alpha), _sorted_blocks(a, alpha, m, gap), beta1, beta2)
+    return rows if return_interval else rows[0]
 
 
 def median_of_blocks(sample, alpha: float, m: int = DEFAULT_M, gap: int = 0) -> float:
     """Interpolated median of the block estimates."""
-    alpha = check_alpha(alpha)
-    values = _as_sample(sample)
-    blocks = block_estimates(values, alpha, m, gap)
-    if blocks.size == 1:
+    return float(median_of_blocks_batch(_one_row(sample), alpha, m, gap)[0])
+
+
+def _median(blocks: np.ndarray) -> np.ndarray:
+    """The median-of-blocks kernel on sorted block estimates."""
+    if blocks.shape[1] == 1:
         warnings.warn("only one complete block; median of blocks degenerates "
-                      "to a single block estimate", stacklevel=2)
-        return float(blocks[0])
-    return interp_quantile(blocks, 0.5)
+                      "to a single block estimate", stacklevel=3)
+    return _interp_sorted(blocks, 0.5)
 
 
 def median_of_blocks_batch(samples, alpha: float, m: int = DEFAULT_M, gap: int = 0) -> np.ndarray:
-    alpha = check_alpha(alpha)
-    blocks = block_estimates_batch(samples, alpha, m, gap)
-    if blocks.shape[1] == 1:
-        warnings.warn("only one complete block; median of blocks degenerates "
-                      "to a single block estimate", stacklevel=2)
-        return blocks[:, 0].copy()
-    return _interp_sorted(np.sort(blocks, axis=-1), 0.5)
+    return _median(_sorted_blocks(_as_batch(samples), check_alpha(alpha), m, gap))
 
 
 def _trim_count(n: int, c: float, exponent: float) -> int:
@@ -279,11 +279,7 @@ def _trim_count(n: int, c: float, exponent: float) -> int:
 def trimmed_es(sample, alpha: float, c: float = DEFAULT_TRIM_C,
                exponent: float = DEFAULT_TRIM_EXPONENT) -> float:
     """Plug-in estimate after discarding the floor(c * N**exponent) largest points."""
-    alpha = check_alpha(alpha)
-    values = np.sort(_as_sample(sample))
-    k = _trim_count(values.size, c, exponent)
-    kept = values[: values.size - k] if k else values
-    return plugin_es(kept, alpha)
+    return float(trimmed_es_batch(_one_row(sample), alpha, c, exponent)[0])
 
 
 def trimmed_es_batch(samples, alpha: float, c: float = DEFAULT_TRIM_C,
@@ -296,11 +292,8 @@ def trimmed_es_batch(samples, alpha: float, c: float = DEFAULT_TRIM_C,
         return plugin_es_batch(a, alpha)
     kept = n - k
     k2 = _top_index(kept, alpha)
-    pivots = sorted({k2, kept - 1})
-    part = np.partition(a, pivots, axis=-1)
-    boundary_w = (k2 + 1.0) / kept - max(k2 / kept, 1.0 - alpha)
-    top_sum = part[:, k2 + 1: kept].sum(axis=-1)
-    return (top_sum / kept + boundary_w * part[:, k2]) / alpha
+    part = np.partition(a, sorted({k2, kept - 1}), axis=-1)
+    return _tail_mean(part, k2, kept, alpha)
 
 
 def suggested_block_size(eps: float) -> int:
@@ -354,22 +347,10 @@ class EstimatorConfig:
         return f"trimmed(c={self.trim_c:g},exp={self.trim_exponent:g})"
 
     def evaluate(self, sample, alpha: float) -> float:
-        if self.kind == "plugin":
-            return plugin_es(sample, alpha)
-        if self.kind == "truncated":
-            return truncated_es(sample, alpha, self.m, self.beta1, self.beta2, self.gap)
-        if self.kind == "median_of_blocks":
-            return median_of_blocks(sample, alpha, self.m, self.gap)
-        return trimmed_es(sample, alpha, self.trim_c, self.trim_exponent)
+        return float(self.evaluate_batch(_one_row(sample), alpha)[0])
 
     def evaluate_batch(self, samples, alpha: float) -> np.ndarray:
-        if self.kind == "plugin":
-            return plugin_es_batch(samples, alpha)
-        if self.kind == "truncated":
-            return truncated_es_batch(samples, alpha, self.m, self.beta1, self.beta2, self.gap)
-        if self.kind == "median_of_blocks":
-            return median_of_blocks_batch(samples, alpha, self.m, self.gap)
-        return trimmed_es_batch(samples, alpha, self.trim_c, self.trim_exponent)
+        return evaluate_many((self,), samples, alpha)[0]
 
     def min_sample_size(self) -> int:
         """Smallest N the estimator accepts."""
@@ -407,3 +388,29 @@ class EstimatorConfig:
             trim_c=float(obj.get("trim_c", DEFAULT_TRIM_C)),
             trim_exponent=float(obj.get("trim_exp", DEFAULT_TRIM_EXPONENT)),
         )
+
+
+def evaluate_many(estimators, samples, alpha: float) -> list[np.ndarray]:
+    """Row-wise estimates of several estimators on one (trials, N) matrix.
+
+    The full-sample plug-in and the sorted block estimates of each
+    ``(m, gap)`` layout are computed once and shared by every estimator that
+    needs them, so each result has the bits of that estimator evaluated alone.
+    """
+    alpha = check_alpha(alpha)
+    a = _as_batch(samples)
+    full = functools.cache(lambda: plugin_es_batch(a, alpha))
+    blocks = functools.cache(lambda m, gap: _sorted_blocks(a, alpha, m, gap))
+    out = []
+    for est in estimators:
+        if est.kind == "plugin":
+            out.append(full())
+        elif est.kind == "median_of_blocks":
+            out.append(_median(blocks(est.m, est.gap)))
+        elif est.kind == "truncated":
+            _check_betas(est.beta1, est.beta2)
+            _require_two_blocks(a.shape[1], est.m, est.gap)
+            out.append(_clamp(full(), blocks(est.m, est.gap), est.beta1, est.beta2)[0])
+        else:
+            out.append(trimmed_es_batch(a, alpha, est.trim_c, est.trim_exponent))
+    return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estim, rng
+from . import estim, functionals, rng
 from .corrupt import CorruptionModel, NoCorruption, apply_corruption_batch, model_from_json, model_to_json
 from .dist import AR1, IID, ProcessSpec, ar1_paths, process_from_json, process_to_json, sample_matrix
 from .errors import ParameterError
@@ -37,7 +37,7 @@ __all__ = [
     "run_trials_multi",
     "draw_trial_samples",
     "deviation_probability",
-    "deviation_curve",
+    "deviation_curves",
     "histogram",
     "longrun_sigma_oracle",
     "resolve_workers",
@@ -51,10 +51,14 @@ _TARGET_BATCH_ELEMENTS = 4_000_000
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce a deviation experiment."""
+    """Everything needed to reproduce a deviation experiment.
+
+    Every estimator sees the same draws: trial ``t`` at size ``N`` is one
+    sample, evaluated by each estimator in turn.
+    """
 
     process: ProcessSpec
-    estimator: EstimatorConfig
+    estimators: tuple[EstimatorConfig, ...]
     alpha: float
     sample_sizes: tuple[int, ...]
     delta: float
@@ -65,6 +69,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_alpha(self.alpha)
+        estimators = tuple(self.estimators)
+        if not estimators:
+            raise ParameterError("estimators: need at least one estimator")
         if self.delta <= 0.0:
             raise ParameterError(f"delta: must be > 0 (got {self.delta})")
         if self.trials < 1:
@@ -73,11 +80,12 @@ class ExperimentSpec:
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
             raise ParameterError("sample_sizes: need a nonempty, strictly increasing list of N >= 1")
         object.__setattr__(self, "sample_sizes", sizes)
+        object.__setattr__(self, "estimators", estimators)
 
     def to_json(self) -> dict:
         return {
             "process": process_to_json(self.process),
-            "estimator": self.estimator.to_json(),
+            "estimators": [est.to_json() for est in self.estimators],
             "alpha": self.alpha,
             "sample_sizes": list(self.sample_sizes),
             "delta": self.delta,
@@ -89,25 +97,35 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
+        """Parse a spec; a missing ``truth`` is the exact ES of the process marginal."""
+        process = process_from_json(obj["process"])
+        alpha = check_alpha(obj["alpha"])
+        truth = obj.get("truth")
+        if truth is None:
+            marginal = process.dist if isinstance(process, IID) else process.marginal
+            truth = functionals.es_exact(marginal, alpha)
         return cls(
-            process=process_from_json(obj["process"]),
-            estimator=EstimatorConfig.from_json(obj["estimator"]),
-            alpha=float(obj["alpha"]),
+            process=process,
+            estimators=tuple(EstimatorConfig.from_json(e) for e in obj["estimators"]),
+            alpha=alpha,
             sample_sizes=tuple(obj["sample_sizes"]),
             delta=float(obj["delta"]),
             trials=int(obj["trials"]),
             master_seed=int(obj["master_seed"]),
             corruption=model_from_json(obj.get("corruption")),
-            truth=float(obj.get("truth", math.nan)),
+            truth=float(truth),
         )
 
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One N of a deviation curve; ``median_abs_error`` is the median |estimate - truth|."""
+
     n: int
     p_hat: float
     stderr: float
     count: int
+    median_abs_error: float
 
 
 @dataclass(frozen=True)
@@ -168,38 +186,11 @@ def draw_trial_samples(process: ProcessSpec, n: int, master_seed: int,
     return samples
 
 
-def _evaluate_with_cache(est: EstimatorConfig, samples: np.ndarray, alpha: float,
-                         cache: dict) -> np.ndarray:
-    """Evaluate one estimator, sharing work common to several estimators."""
-    if est.kind == "plugin":
-        if "plugin" not in cache:
-            cache["plugin"] = estim.plugin_es_batch(samples, alpha)
-        return cache["plugin"]
-    if est.kind in ("truncated", "median_of_blocks"):
-        key = ("blocks", est.m, est.gap)
-        if key not in cache:
-            cache[key] = np.sort(
-                estim.block_estimates_batch(samples, alpha, est.m, est.gap), axis=-1
-            )
-        blocks = cache[key]
-        if est.kind == "median_of_blocks":
-            if blocks.shape[1] == 1:
-                return blocks[:, 0].copy()
-            return estim._interp_sorted(blocks, 0.5)
-        lower = estim._interp_sorted(blocks, est.beta1)
-        upper = estim._interp_sorted(blocks, est.beta2)
-        if "plugin" not in cache:
-            cache["plugin"] = estim.plugin_es_batch(samples, alpha)
-        return np.minimum(np.maximum(cache["plugin"], lower), upper)
-    return est.evaluate_batch(samples, alpha)
-
-
 def _run_batch(process: ProcessSpec, estimators: tuple[EstimatorConfig, ...],
                alpha: float, n: int, master_seed: int, corruption: CorruptionModel,
                t_start: int, t_stop: int) -> list[np.ndarray]:
     samples = draw_trial_samples(process, n, master_seed, t_start, t_stop, corruption)
-    cache: dict = {}
-    return [_evaluate_with_cache(est, samples, alpha, cache) for est in estimators]
+    return estim.evaluate_many(estimators, samples, alpha)
 
 
 def _validate_for_n(estimators, n: int) -> None:
@@ -252,11 +243,10 @@ def run_trials_multi(process: ProcessSpec, estimators, alpha: float, n: int,
     return out
 
 
-def run_trials(spec: ExperimentSpec, n: int, workers: int = 0) -> np.ndarray:
-    """Per-trial estimates (length ``spec.trials``) at sample size ``n``."""
-    return run_trials_multi(spec.process, (spec.estimator,), spec.alpha, n,
-                            spec.trials, spec.master_seed, spec.corruption,
-                            workers)[0]
+def run_trials(spec: ExperimentSpec, n: int, workers: int = 0) -> list[np.ndarray]:
+    """Per-trial estimates at sample size ``n``: one array per estimator."""
+    return run_trials_multi(spec.process, spec.estimators, spec.alpha, n, spec.trials,
+                            spec.master_seed, spec.corruption, workers)
 
 
 def deviation_probability(estimates, truth: float, delta: float) -> tuple[float, float, int]:
@@ -272,16 +262,17 @@ def deviation_probability(estimates, truth: float, delta: float) -> tuple[float,
     return p_hat, stderr, count
 
 
-def deviation_curve(spec: ExperimentSpec, workers: int = 0) -> DeviationCurve:
-    """Deviation probability P(|estimate - truth| >= delta) at each N."""
+def deviation_curves(spec: ExperimentSpec, workers: int = 0) -> tuple[DeviationCurve, ...]:
+    """P(|estimate - truth| >= delta) at each N, one curve per estimator."""
     if math.isnan(spec.truth):
         raise ParameterError("truth: ExperimentSpec.truth must be set for deviation curves")
-    points = []
+    points = [[] for _ in spec.estimators]
     for n in spec.sample_sizes:
-        estimates = run_trials(spec, n, workers=workers)
-        p_hat, stderr, count = deviation_probability(estimates, spec.truth, spec.delta)
-        points.append(CurvePoint(n, p_hat, stderr, count))
-    return DeviationCurve(spec.delta, spec.trials, tuple(points))
+        for curve, estimates in zip(points, run_trials(spec, n, workers)):
+            p_hat, stderr, count = deviation_probability(estimates, spec.truth, spec.delta)
+            error = float(np.median(np.abs(estimates - spec.truth)))
+            curve.append(CurvePoint(n, p_hat, stderr, count, error))
+    return tuple(DeviationCurve(spec.delta, spec.trials, tuple(p)) for p in points)
 
 
 def histogram(estimates, bins: int) -> HistogramResult:

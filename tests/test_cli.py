@@ -107,10 +107,12 @@ def test_table1_single_alpha(tmp_path, capsys):
 
 
 def test_table1_rejects_bad_alpha(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "table1", "--alphas", "0.6",
-                           "--out", str(tmp_path / "t.csv"))
-    assert code == 2
-    assert "alpha" in err
+    for bad in ("0.6", "abc"):
+        code, _, err = run_cli(capsys, "table1", "--alphas", bad,
+                               "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert "alpha" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 # --- curve ------------------------------------------------------------------------
@@ -146,7 +148,7 @@ def test_spec_hash_changes_iff_config_changes(tmp_path, capsys, trivial_config):
     assert meta["master_seed"] == 7
 
 
-def test_curve_bad_config(tmp_path, capsys):
+def test_curve_bad_config(tmp_path, capsys, trivial_config):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 2}))
     code, _, err = run_cli(capsys, "curve", "--config", str(bad),
@@ -156,6 +158,14 @@ def test_curve_bad_config(tmp_path, capsys):
     code, _, err = run_cli(capsys, "curve", "--config", str(bad),
                            "--out", str(tmp_path / "o"))
     assert code == 2 and "missing field" in err
+    _, cfg = trivial_config
+    for field, value in (("trials", 0), ("delta", -1), ("sample_sizes", [40, 20])):
+        bad.write_text(json.dumps(dict(cfg, **{field: value})))
+        out = tmp_path / f"bad_{field}"
+        code, _, err = run_cli(capsys, "curve", "--config", str(bad), "--out", str(out))
+        assert code == 2 and field in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not (out / "run_meta.json").exists()
 
 
 def test_curve_bad_workers_env(tmp_path, capsys, monkeypatch, trivial_config):
@@ -295,7 +305,7 @@ def test_format_number():
 
 
 def test_csv_writers_shapes():
-    curve = DeviationCurve(1.0, 100, (CurvePoint(10, 0.25, 0.04330127018922193, 25),))
+    curve = DeviationCurve(1.0, 100, (CurvePoint(10, 0.25, 0.04330127018922193, 25, 0.5),))
     text = report.curve_to_csv(curve)
     assert text.splitlines()[1] == "10,0.25,0.04330127018922193,25"
     hist = HistogramResult(np.array([0.0, 1.0, 2.0]), np.array([3, 4]), 0.0, 2.0, 7)

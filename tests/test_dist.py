@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special as sp
 
 from shortfall import dist
 from shortfall.errors import NoDensityError, ParameterError
@@ -260,3 +261,19 @@ def test_json_roundtrip():
         dist.spec_from_json({"family": "cauchy", "params": {}})
     with pytest.raises(ParameterError, match="params"):
         dist.spec_from_json({"family": "pareto", "params": {"x0": 1.0, "shape": 2.0}})
+
+
+@pytest.mark.parametrize("nu", [1.05, 2.2, 2.5, 5.0, 30.0])
+def test_student_t_tail_quantile_finite_and_decreasing_to_1e300(nu):
+    w = np.logspace(-300, math.log10(0.5), 4001)
+    q = dist.StudentT(nu).tail_quantile(w)
+    assert np.all(np.isfinite(q))
+    assert np.all(np.diff(q) < 0)
+
+
+def test_student_t_tail_quantile_matches_beta_inverse():
+    # upper tail: 2w = I_x(nu/2, 1/2) with x = nu/(nu + t^2)
+    for nu, w in ((2.2, 1e-200), (5.0, 1e-120), (30.0, 1e-60)):
+        x = sp.betaincinv(nu / 2.0, 0.5, 2.0 * w)
+        expected = math.sqrt(nu * (1.0 - x) / x)
+        assert dist.StudentT(nu).tail_quantile(w) == pytest.approx(expected, rel=1e-12)

@@ -267,6 +267,78 @@ def test_batch_matches_scalar(alpha, gap):
     )
 
 
+def _fsum_plugin(values, alpha):
+    # top order statistics summed exactly; each is divided by n first so a
+    # tail of values near 1e308 cannot overflow the reference itself
+    s = np.sort(values)
+    n = s.size
+    k = min(int(math.floor((1.0 - alpha) * n)), n - 1)
+    boundary = (k + 1.0) / n - max(k / n, 1.0 - alpha)
+    return (math.fsum(s[k + 1:] / n) + boundary * s[k]) / alpha
+
+
+def _fsum_interp(values, beta):
+    s = np.sort(values)
+    if s.size == 1:
+        return float(s[0])
+    position = beta * (s.size - 1)
+    j = min(int(math.floor(position)), s.size - 2)
+    return (1.0 - (position - j)) * s[j] + (position - j) * s[j + 1]
+
+
+def _fsum_reference(kind, x, alpha, m):
+    blocks = [_fsum_plugin(x[j * m:(j + 1) * m], alpha) for j in range(x.size // m)]
+    if kind == "plugin":
+        return _fsum_plugin(x, alpha)
+    if kind == "truncated":
+        lower, upper = _fsum_interp(blocks, 0.5), _fsum_interp(blocks, 0.6)
+        return min(max(_fsum_plugin(x, alpha), lower), upper)
+    if kind == "median_of_blocks":
+        return _fsum_interp(blocks, 0.5)
+    k = int(math.floor(0.25 * x.size ** (1.0 / 3.0)))
+    return _fsum_plugin(np.sort(x)[: x.size - k], alpha)
+
+
+_EDGE_SAMPLES = {
+    "ties": (np.round(np.random.default_rng(31).exponential(size=600), 1), 100),
+    "atom": (np.full(600, 2.5), 100),
+    "one_block": (np.random.default_rng(37).exponential(size=150), 100),
+    "near_1e308": (np.tile(np.r_[np.ones(50), np.full(50, 1e308)], 6), 100),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_SAMPLES))
+@pytest.mark.parametrize("kind", ["plugin", "truncated", "median_of_blocks", "trimmed"])
+def test_scalar_is_one_row_batch_on_edge_samples(kind, case):
+    x, m = _EDGE_SAMPLES[case]
+    alpha = 0.1
+    scalar, batch = {
+        "plugin": (lambda: estim.plugin_es(x, alpha),
+                   lambda: estim.plugin_es_batch(x[None, :], alpha)),
+        "truncated": (lambda: estim.truncated_es(x, alpha, m, 0.5, 0.6),
+                      lambda: estim.truncated_es_batch(x[None, :], alpha, m, 0.5, 0.6)),
+        "median_of_blocks": (lambda: estim.median_of_blocks(x, alpha, m),
+                             lambda: estim.median_of_blocks_batch(x[None, :], alpha, m)),
+        "trimmed": (lambda: estim.trimmed_es(x, alpha),
+                    lambda: estim.trimmed_es_batch(x[None, :], alpha)),
+    }[kind]
+    cfg = estim.EstimatorConfig(kind, m=m)
+    if kind == "truncated" and case == "one_block":
+        for form in (scalar, batch, lambda: cfg.evaluate(x, alpha)):
+            with pytest.raises(ParameterError, match="2 complete blocks"):
+                form()
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one block: median of blocks warns
+        got = scalar()
+        rows = [batch()[0], cfg.evaluate(x, alpha), cfg.evaluate_batch(x[None, :], alpha)[0],
+                estim.evaluate_many([cfg], x[None, :], alpha)[0][0]]
+    assert all(np.float64(got).tobytes() == np.float64(r).tobytes() for r in rows)
+    reference = _fsum_reference(kind, x, alpha, m)
+    assert math.isfinite(got)
+    assert abs(got - reference) <= 1e-12 * abs(reference)
+
+
 # --- structural properties -------------------------------------------------------------
 
 

@@ -1,16 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from shortfall import corrupt, dist, estim, mc
+from shortfall import cli, corrupt, dist, estim, mc, rng
 from shortfall.errors import ParameterError
 
 
 def _constant_spec(**overrides):
     base = dict(
         process=dist.IID(dist.ScaledBernoulli(1.0, 3.0)),
-        estimator=estim.EstimatorConfig("plugin"),
+        estimators=(estim.EstimatorConfig("plugin"),),
         alpha=0.1,
         sample_sizes=(20, 40),
         delta=0.5,
@@ -57,17 +58,17 @@ def test_deviation_probability_empty():
 
 def test_constant_process_trials():
     spec = _constant_spec()
-    out = mc.run_trials(spec, 20, workers=1)
+    out = mc.run_trials(spec, 20, workers=1)[0]
     assert np.allclose(out, 3.0, rtol=1e-12, atol=0.0)
-    trunc = _constant_spec(estimator=estim.EstimatorConfig("truncated", m=5))
-    out = mc.run_trials(trunc, 40, workers=1)
+    trunc = _constant_spec(estimators=(estim.EstimatorConfig("truncated", m=5),))
+    out = mc.run_trials(trunc, 40, workers=1)[0]
     assert np.allclose(out, 3.0, rtol=1e-12, atol=0.0)
 
 
 def test_trials_deterministic_across_workers():
     spec = mc.ExperimentSpec(
         process=dist.IID(dist.Pareto(1.0, 2.2)),
-        estimator=estim.EstimatorConfig("truncated", m=50),
+        estimators=(estim.EstimatorConfig("truncated", m=50),),
         alpha=0.1,
         sample_sizes=(400,),
         delta=1.0,
@@ -75,22 +76,22 @@ def test_trials_deterministic_across_workers():
         master_seed=31,
         truth=5.0,
     )
-    serial = mc.run_trials(spec, 400, workers=1)
-    parallel = mc.run_trials(spec, 400, workers=2)
+    serial = mc.run_trials(spec, 400, workers=1)[0]
+    parallel = mc.run_trials(spec, 400, workers=2)[0]
     assert np.array_equal(serial, parallel)
 
 
 def test_trials_depend_on_master_seed():
     a = mc.run_trials(_constant_spec(process=dist.IID(dist.Exponential(1.0)),
-                                     master_seed=1, truth=3.3), 20, workers=1)
+                                     master_seed=1, truth=3.3), 20, workers=1)[0]
     b = mc.run_trials(_constant_spec(process=dist.IID(dist.Exponential(1.0)),
-                                     master_seed=2, truth=3.3), 20, workers=1)
+                                     master_seed=2, truth=3.3), 20, workers=1)[0]
     assert not np.array_equal(a, b)
 
 
 def test_trials_order_is_trial_order():
     spec = _constant_spec(process=dist.IID(dist.Exponential(1.0)), trials=70, truth=3.3)
-    full = mc.run_trials(spec, 20, workers=1)
+    full = mc.run_trials(spec, 20, workers=1)[0]
     direct = mc.draw_trial_samples(spec.process, 20, spec.master_seed, 13, 14)
     assert estim.plugin_es(direct[0], 0.1) == pytest.approx(full[13], rel=1e-12)
 
@@ -110,7 +111,7 @@ def test_multi_shares_draws():
 
 
 def test_estimator_precondition_reported():
-    spec = _constant_spec(estimator=estim.EstimatorConfig("truncated", m=250),
+    spec = _constant_spec(estimators=(estim.EstimatorConfig("truncated", m=250),),
                           sample_sizes=(20, 40))
     with pytest.raises(ParameterError, match="trial 0"):
         mc.run_trials(spec, 20, workers=1)
@@ -120,7 +121,7 @@ def test_corruption_applied_per_trial():
     process = dist.IID(dist.ScaledBernoulli(1.0, 3.0))
     model = corrupt.ReplaceIndices(frozenset({1}), value=1000.0)
     spec = _constant_spec(process=process, corruption=model, truth=3.0)
-    out = mc.run_trials(spec, 20, workers=1)
+    out = mc.run_trials(spec, 20, workers=1)[0]
     # one of 20 points replaced by 1000: plug-in with alpha=0.1 picks top 2
     expected = estim.plugin_es([3.0] * 19 + [1000.0], 0.1)
     assert np.allclose(out, expected)
@@ -138,11 +139,64 @@ def test_experiment_spec_validation_and_json():
     assert again == spec
 
 
+# --- golden streams ----------------------------------------------------------------
+
+GOLDEN_SEED = 20260811
+
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def test_golden_uniform_stream():
+    seeds = np.array([GOLDEN_SEED, 0, 1, 2**64 - 1], dtype=np.uint64)
+    assert _sha256(rng.uniform_matrix(seeds, 1000)) == (
+        "e829ada04a06fa9992289d0ceb1db50354497b776cbb2f23212b0c4d55093f43")
+
+
+def test_golden_headline_estimates():
+    # IID Pareto(1, 2.2), alpha = 0.1, plug-in + truncated(m=250, 0.5/0.6), 2000 trials
+    ests = (estim.EstimatorConfig("plugin"),
+            estim.EstimatorConfig("truncated", m=250, beta1=0.5, beta2=0.6))
+    expected = {
+        1250: ("09b20ec1c82cfc82cb5d1fd3ec049e5a071b63deec4e02511336db14bcd8b7bf",
+               "e77dbdb9b035889832eebb93082b389042f5f135d48fa88e203622ac8c5798b1"),
+        3250: ("464e849558b7568ba4244c3572f56c6fee508ce48c71af204e9c06f9d9e588bc",
+               "d04f9ff3800083c2a2f294419937bb9e90f3f7179aa6bf146f8e8d2f61364cc1"),
+    }
+    for n, hashes in expected.items():
+        arrays = mc.run_trials_multi(dist.IID(dist.Pareto(1.0, 2.2)), ests, 0.1, n, 2000,
+                                     GOLDEN_SEED, workers=1)
+        assert tuple(_sha256(a) for a in arrays) == hashes
+
+
+def test_golden_corrupt_demo_estimates():
+    # the corrupt-demo reference job: Student-t(2.5), four estimators, N = 3250, 64 trials
+    ests = (estim.EstimatorConfig("plugin"),
+            estim.EstimatorConfig("truncated", m=250, beta1=0.5, beta2=0.6),
+            estim.EstimatorConfig("median_of_blocks", m=250),
+            estim.EstimatorConfig("trimmed"))
+    expected = {
+        "clean": ("1d43ed46e9fa034e0de40c1d39c5e22c32160ea2148c0c09ad78c1c6a4d16c24",
+                  "0b8b859bfca040933b499cd96dc806c29c776a5b9bfe72b2a26a5a22aa82797b",
+                  "db3a4b315585954d1addc46dd03a20e70a91acd174c7d0961736e2f5a80c002a",
+                  "d42612dedfbbff84c47c48a3732a1b058d686d0d7cf970f1239a567e2d59a0b7"),
+        "corrupted": ("3bab8cb69f17fd062c3457c586bf159855cd5d50784ad29f13ead4dd9a57ce45",
+                      "df277034c17aba5bc125c270a25b8c25d466e5ae8ed98ac4f0dfd702a25adc5b",
+                      "ed1db543932081d2592c86b6131f855909adddc28aa7326ae37d2fd505bee8a8",
+                      "2d9619d18232833ee98761f83d23da6eb8f333bc9781e72a71f4607187591f7b"),
+    }
+    for phase, model in (("clean", corrupt.NoCorruption()), ("corrupted", cli.DEMO_CORRUPTION)):
+        arrays = mc.run_trials_multi(dist.IID(dist.StudentT(2.5)), ests, 0.1, 3250, 64,
+                                     GOLDEN_SEED, model, workers=1)
+        assert tuple(_sha256(a) for a in arrays) == expected[phase]
+
+
 # --- curve -----------------------------------------------------------------------
 
 
 def test_constant_curve_is_zero():
-    curve = mc.deviation_curve(_constant_spec(), workers=1)
+    curve = mc.deviation_curves(_constant_spec(), workers=1)[0]
     assert [pt.p_hat for pt in curve.points] == [0.0, 0.0]
     assert [pt.count for pt in curve.points] == [0, 0]
     assert [pt.n for pt in curve.points] == [20, 40]
@@ -151,7 +205,7 @@ def test_constant_curve_is_zero():
 def test_curve_requires_truth():
     spec = _constant_spec(truth=math.nan)
     with pytest.raises(ParameterError, match="truth"):
-        mc.deviation_curve(spec, workers=1)
+        mc.deviation_curves(spec, workers=1)
 
 
 def test_deviation_probability_stable_across_master_seeds():
@@ -162,11 +216,11 @@ def test_deviation_probability_stable_across_master_seeds():
     estimates = {}
     for seed in (20260811, 555):
         spec = mc.ExperimentSpec(
-            process=dist.IID(pareto), estimator=estim.EstimatorConfig("plugin"),
+            process=dist.IID(pareto), estimators=(estim.EstimatorConfig("plugin"),),
             alpha=0.1, sample_sizes=(3250,), delta=1.0, trials=20_000,
             master_seed=seed, truth=truth,
         )
-        estimates[seed] = mc.run_trials(spec, 3250)
+        estimates[seed] = mc.run_trials(spec, 3250)[0]
     assert not np.array_equal(estimates[20260811], estimates[555])
     (p1, se1, _), (p2, se2, _) = (
         mc.deviation_probability(estimates[s], truth, 1.0) for s in (20260811, 555)
