@@ -253,8 +253,11 @@ class Pareto:
 
     def quantile(self, u):
         _check_u(u)
+        out = 1.0 - u  # one buffer for the whole transform; u is left alone
         with np.errstate(divide="ignore"):
-            return self.x0 * (1.0 - u) ** (-1.0 / self.lam)
+            np.power(out, -1.0 / self.lam, out=out)
+        out *= self.x0
+        return out
 
     def pdf(self, t):
         out = np.zeros_like(t)

@@ -334,6 +334,8 @@ class EstimatorConfig:
             raise ParameterError(
                 f"beta1/beta2: need 0 <= beta1 <= beta2 <= 1 (got {self.beta1}, {self.beta2})"
             )
+        if self.kind == "trimmed" and not self.trim_c > 0.0:
+            raise ParameterError(f"trim_c: trimming constant must be > 0 (got {self.trim_c})")
 
     def label(self) -> str:
         if self.kind == "plugin":

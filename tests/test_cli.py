@@ -168,6 +168,23 @@ def test_curve_bad_config(tmp_path, capsys, trivial_config):
         assert not (out / "run_meta.json").exists()
 
 
+@pytest.mark.parametrize("estimators, sample_sizes, message", [
+    ([{"kind": "truncated", "m": 250}], [400], "N=400 below the minimum 500"),
+    ([{"kind": "trimmed", "trim_c": 0}], [20, 40], "trim_c"),
+])
+def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_config,
+                                                    estimators, sample_sizes, message):
+    _, cfg = trivial_config
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(cfg, estimators=estimators, sample_sizes=sample_sizes)))
+    out = tmp_path / "o"
+    code, _, err = run_cli(capsys, "curve", "--config", str(bad), "--out", str(out),
+                           "--workers", "1")
+    assert code == 2 and message in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not (out / "run_meta.json").exists()
+
+
 def test_curve_bad_workers_env(tmp_path, capsys, monkeypatch, trivial_config):
     config, _ = trivial_config
     monkeypatch.setenv("SHORTFALL_WORKERS", "abc")

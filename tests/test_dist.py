@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy import special as sp
 
-from shortfall import dist
+from shortfall import dist, rng
 from shortfall.errors import NoDensityError, ParameterError
 
 CONTINUOUS = [
@@ -98,6 +99,21 @@ def test_quantile_at_zero():
     assert dist.quantile(dist.Lognormal(), 0.0) == 0.0
     assert dist.quantile(dist.ScaledBernoulli(0.3, 2.0), 0.0) == 0.0
     assert dist.quantile(dist.AtomMix(-0.1, 0.1, 0.02), 0.0) == -0.1
+
+
+@pytest.mark.parametrize("x0", [1.0, 2.5])
+def test_pareto_quantile_bits_and_input_untouched(x0):
+    u = rng.uniform_matrix(np.arange(4, dtype=np.uint64), 1000)
+    before = u.copy()
+    for lam in (2.2, 1.0, 0.5):
+        got = dist.Pareto(x0, lam).quantile(u)
+        assert np.array_equal(got, x0 * (1.0 - u) ** (-1.0 / lam))
+        assert np.array_equal(u, before)
+    edge = np.array([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dist.Pareto(x0, 2.2).quantile(edge).tolist() == [x0, math.inf]
+    assert edge.tolist() == [0.0, 1.0]
 
 
 def test_quantile_bad_levels():

@@ -458,5 +458,8 @@ def test_estimator_config_roundtrip_and_eval():
         assert batch[0] == pytest.approx(cfg.evaluate(x, 0.1), rel=1e-12)
     with pytest.raises(ParameterError, match="kind"):
         estim.EstimatorConfig("winsorized")
+    for c in (0.0, -0.5, math.nan):
+        with pytest.raises(ParameterError, match="trim_c"):
+            estim.EstimatorConfig("trimmed", trim_c=c)
     with pytest.raises(ParameterError, match="unknown field"):
         estim.EstimatorConfig.from_json({"kind": "plugin", "bogus": 1})

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -79,6 +80,44 @@ def test_trials_deterministic_across_workers():
     serial = mc.run_trials(spec, 400, workers=1)[0]
     parallel = mc.run_trials(spec, 400, workers=2)[0]
     assert np.array_equal(serial, parallel)
+    # 901 trials split unevenly over 2 and 3 workers
+    uneven = [mc.run_trials_multi(spec.process, spec.estimators, 0.1, 400, 901, 31,
+                                  workers=w)[0] for w in (1, 2, 3)]
+    assert np.array_equal(uneven[0][:900], serial)
+    assert np.array_equal(uneven[0], uneven[1]) and np.array_equal(uneven[0], uneven[2])
+
+
+def test_workers_capped_at_sub_batches(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Records each pool's size and runs its jobs inline, in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    process = dist.IID(dist.Pareto(1.0, 2.2))
+    ests = (estim.EstimatorConfig("plugin"),)
+    tiny = mc.run_trials_multi(process, ests, 0.1, 400, 3, 5, workers=8)
+    assert started == [] and tiny[0].shape == (3,)
+    n = 3250
+    trials = 3 * (mc._SUB_BATCH_ELEMENTS // n)  # three full sub-batches
+    pooled = mc.run_trials_multi(process, ests, 0.1, n, trials, 5, workers=8)
+    assert started == [3]
+    serial = mc.run_trials_multi(process, ests, 0.1, n, trials, 5, workers=1)
+    assert started == [3] and np.array_equal(pooled[0], serial[0])
 
 
 def test_trials_depend_on_master_seed():
@@ -111,10 +150,13 @@ def test_multi_shares_draws():
 
 
 def test_estimator_precondition_reported():
-    spec = _constant_spec(estimators=(estim.EstimatorConfig("truncated", m=250),),
-                          sample_sizes=(20, 40))
+    truncated = (estim.EstimatorConfig("truncated", m=250),)
     with pytest.raises(ParameterError, match="trial 0"):
-        mc.run_trials(spec, 20, workers=1)
+        _constant_spec(estimators=truncated, sample_sizes=(20, 40))
+    with pytest.raises(ParameterError, match="trial 0"):
+        mc.run_trials_multi(dist.IID(dist.Exponential(1.0)), truncated, 0.1, 20, 10, 7, workers=1)
+    with pytest.raises(ParameterError, match="trials"):
+        mc.run_trials_multi(dist.IID(dist.Exponential(1.0)), (), 0.1, 20, 0, 7, workers=1)
 
 
 def test_corruption_applied_per_trial():
