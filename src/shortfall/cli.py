@@ -29,7 +29,7 @@ import numpy as np
 from . import mc, report
 from .corrupt import MaxShiftGaussian, NoCorruption, model_to_json
 from .dist import AR1, IID
-from .errors import InfiniteShortfallError, ParameterError, QuadratureError, ShortfallError
+from .errors import InfiniteShortfallError, ParameterError, ShortfallError
 from .estim import EstimatorConfig, truncated_es_interval
 from .functionals import check_alpha, table1_rows
 
@@ -81,10 +81,7 @@ def cmd_table1(args) -> int:
         alphas = [check_alpha(a) for a in args.alphas.split(",") if a.strip()]
     except ValueError as exc:
         raise _fail(f"--alphas: {exc}")
-    try:
-        rows = table1_rows(alphas)
-    except QuadratureError as exc:
-        raise _fail(f"table cell failed: {exc}")
+    rows = table1_rows(alphas)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.table1_to_csv(rows), newline="\n")
@@ -120,6 +117,7 @@ def _file_tag(spec: mc.ExperimentSpec, index: int) -> str:
 
 
 def _prepare_out(args, cfg: dict) -> Path:
+    mc.resolve_workers(args.workers)  # the last argument check before any output
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -157,10 +155,12 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _single_n(args, spec: mc.ExperimentSpec) -> int:
+def _histogram_n(args, spec: mc.ExperimentSpec) -> int:
+    """The sample size of a histogram command, after checking --n and --bins."""
     n = args.n if args.n else spec.sample_sizes[-1]
     if n not in spec.sample_sizes:
         raise _fail(f"--n {n} is not one of the config sample_sizes {list(spec.sample_sizes)}")
+    mc.check_bins(args.bins)
     return n
 
 
@@ -178,8 +178,8 @@ def _write_histograms(args, out: Path, spec: mc.ExperimentSpec, results, phase=N
 
 def cmd_hist(args) -> int:
     cfg, spec = _load_config(args.config)
+    n = _histogram_n(args, spec)
     out = _prepare_out(args, cfg)
-    n = _single_n(args, spec)
     _write_histograms(args, out, spec, mc.run_trials(spec, n, workers=args.workers))
     return 0
 
@@ -189,8 +189,8 @@ DEMO_CORRUPTION = MaxShiftGaussian(k=3, mu=5.0, sigma=250.0)
 
 def cmd_corrupt_demo(args) -> int:
     cfg, spec = _load_config(args.config)
+    n = _histogram_n(args, spec)
     out = _prepare_out(args, cfg)
-    n = _single_n(args, spec)
     corruption = spec.corruption if not isinstance(spec.corruption, NoCorruption) else DEMO_CORRUPTION
     clean = mc.run_trials(dataclasses.replace(spec, corruption=NoCorruption()), n, args.workers)
     dirty = mc.run_trials(dataclasses.replace(spec, corruption=corruption), n, args.workers)
@@ -204,6 +204,10 @@ def cmd_mixing(args) -> int:
     cfg, spec = _load_config(args.config)
     if not isinstance(spec.process, AR1):
         raise _fail("config: the mixing command expects an \"ar1\" process")
+    oracle_cfg = cfg.get("oracle", {})
+    block_size = int(oracle_cfg.get("block_size", 10_000))
+    blocks = int(oracle_cfg.get("blocks", 200))
+    mc.check_oracle_size(block_size, blocks)
     out = _prepare_out(args, cfg)
     curves = mc.deviation_curves(spec, workers=args.workers)
     _write_curves(args, out, spec, curves, f"AR(1) rho={spec.process.rho:g}")
@@ -214,9 +218,6 @@ def cmd_mixing(args) -> int:
     (out / "mixing_summary.csv").write_text("\n".join(summary) + "\n", newline="\n")
     print(f"wrote {out / 'mixing_summary.csv'}")
 
-    oracle_cfg = cfg.get("oracle", {})
-    block_size = int(oracle_cfg.get("block_size", 10_000))
-    blocks = int(oracle_cfg.get("blocks", 200))
     lines = ["process,block_size,blocks,sigma2"]
     for label, process in (("ar1", spec.process), ("iid_normal", IID(spec.process.marginal))):
         sigma2 = mc.longrun_sigma_oracle(process, spec.alpha, block_size, blocks,

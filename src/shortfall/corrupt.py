@@ -90,11 +90,6 @@ class ReplaceIndices:
 CorruptionModel = NoCorruption | MaxShiftGaussian | ReplaceLargest | ReplaceIndices
 
 
-def _check_k(k: int, n: int) -> None:
-    if k > n:
-        raise ParameterError(f"k: cannot corrupt {k} of {n} samples")
-
-
 def apply_corruption(sample, model: CorruptionModel, seed: int) -> np.ndarray:
     """Return a corrupted copy of ``sample``; at most ``model.k`` entries change.
 
@@ -114,19 +109,18 @@ def apply_corruption_batch(samples: np.ndarray, model: CorruptionModel,
     Modifies and returns ``samples`` (the Monte Carlo engine owns the buffer).
     """
     n = samples.shape[1]
+    if isinstance(model, (MaxShiftGaussian, ReplaceLargest)):
+        if model.k > n:
+            raise ParameterError(f"k: cannot corrupt {model.k} of {n} samples")
+        if model.k == 0:
+            return samples
     if isinstance(model, NoCorruption):
         return samples
     if isinstance(model, MaxShiftGaussian):
-        _check_k(model.k, n)
-        if model.k == 0:
-            return samples
         shocks = model.mu + model.sigma * sp.ndtri(rng.uniform_matrix(seeds, model.k))
         np.maximum(samples[:, : model.k], shocks, out=samples[:, : model.k])
         return samples
     if isinstance(model, ReplaceLargest):
-        _check_k(model.k, n)
-        if model.k == 0:
-            return samples
         order = np.argpartition(samples, n - model.k, axis=1)[:, n - model.k:]
         np.put_along_axis(samples, order, model.value, axis=1)
         return samples

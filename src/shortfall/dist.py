@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import signal
 from scipy import special as sp
 
 from . import rng
@@ -420,13 +419,11 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
 
     Identical ``(spec, n, seed)`` triples give bit-identical output.
     """
-    if n < 1:
-        raise ParameterError(f"n: must be >= 1 (got {n})")
-    return spec.quantile(rng.uniforms(seed, n))
+    return sample_matrix(spec, np.array([seed & rng.MASK64], dtype=np.uint64), n)[0]
 
 
 def sample_matrix(spec: DistributionSpec, seeds: np.ndarray, n: int) -> np.ndarray:
-    """Row ``b`` equals ``sample(spec, n, seeds[b])``; shape (len(seeds), n)."""
+    """Row ``b`` is the quantiles of ``rng.uniforms(seeds[b], n)``; shape (len(seeds), n)."""
     if n < 1:
         raise ParameterError(f"n: must be >= 1 (got {n})")
     return spec.quantile(rng.uniform_matrix(seeds, n))
@@ -453,6 +450,7 @@ def density(spec: DistributionSpec, t):
 
 def _ar1_from_innovations(rho: float, z: np.ndarray) -> np.ndarray:
     # X_1 = Z_1 (stationary start), X_t = rho*X_{t-1} + sqrt(1-rho^2)*Z_t.
+    from scipy import signal  # deferred: importing scipy.signal loads scipy.stats and more
     w = z * math.sqrt(1.0 - rho * rho)
     w[..., 0] = z[..., 0]
     return signal.lfilter([1.0], [1.0, -rho], w, axis=-1)
@@ -460,15 +458,11 @@ def _ar1_from_innovations(rho: float, z: np.ndarray) -> np.ndarray:
 
 def ar1_path(rho: float, n: int, seed: int) -> np.ndarray:
     """Stationary standard-normal AR(1) path of length ``n``."""
-    _require(abs(rho) < 1.0, "rho", f"must satisfy |rho| < 1 (got {rho})")
-    if n < 1:
-        raise ParameterError(f"n: must be >= 1 (got {n})")
-    z = sp.ndtri(rng.uniforms(seed, n))
-    return _ar1_from_innovations(rho, z)
+    return ar1_paths(rho, np.array([seed & rng.MASK64], dtype=np.uint64), n)[0]
 
 
 def ar1_paths(rho: float, seeds: np.ndarray, n: int) -> np.ndarray:
-    """Row ``b`` equals ``ar1_path(rho, n, seeds[b])``; shape (len(seeds), n)."""
+    """Row ``b`` is the path driven by ``rng.uniforms(seeds[b], n)``; shape (len(seeds), n)."""
     _require(abs(rho) < 1.0, "rho", f"must satisfy |rho| < 1 (got {rho})")
     if n < 1:
         raise ParameterError(f"n: must be >= 1 (got {n})")

@@ -8,8 +8,8 @@ Three independent routes to the expected shortfall at level ``alpha``:
   over (1-alpha, 1), evaluated after the substitution u = 1 - alpha*s**kappa
   (which concentrates nodes at the tail singularity) with adaptive panel
   bisection;
-* :func:`es_by_distortion` -- t-space integral of the distortion
-  psi(F(t)) = min{(1-F(t))/alpha, 1}, an independent cross-check oracle.
+* :func:`es_by_distortion` -- q + (1/alpha) * integral of 1 - F(t) over t > q,
+  a cdf-based cross-check oracle on the same engine (no ``scipy.integrate``).
 
 Also provided: the asymptotic standard deviation ``sigma_es`` of the plug-in
 estimator (from the first two tail moments of the excess over the
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .dist import (
@@ -237,79 +236,27 @@ def es_by_quadrature(spec: DistributionSpec, alpha: float, tol: float = 1e-10) -
     return _tail_moment(spec, alpha, tol)
 
 
-def _quad(f, a, b, tol, points=None):
-    kwargs = {"epsabs": tol, "epsrel": 1e-12, "limit": 400}
-    if points and np.isfinite([a, b]).all():
-        inner = [p for p in points if a < p < b]
-        if inner:
-            kwargs["points"] = inner
-    value, abserr = integrate.quad(f, a, b, **kwargs)
-    return value, abserr
-
-
-def _support_bounds(spec: DistributionSpec):
-    """(lower, upper) essential support bounds, +-inf when unbounded."""
-    if isinstance(spec, ScaledBernoulli):
-        return 0.0, spec.x
-    if isinstance(spec, AtomMix):
-        return spec.x0, 0.0
-    if isinstance(spec, Pareto):
-        return spec.x0, math.inf
-    if isinstance(spec, (Exponential, Lognormal)):
-        return 0.0, math.inf
-    return -math.inf, math.inf
-
-
-def _cdf_breakpoints(spec: DistributionSpec):
-    if isinstance(spec, ScaledBernoulli):
-        return [0.0, spec.x]
-    if isinstance(spec, AtomMix):
-        return [spec.x0, 0.0]
-    if isinstance(spec, Pareto):
-        return [spec.x0]
-    if isinstance(spec, (Exponential, Lognormal)):
-        return [0.0]
-    return []
-
-
 def es_by_distortion(spec: DistributionSpec, alpha: float, tol: float = 1e-10) -> float:
-    """ES_alpha through the distortion representation, integrating in t-space.
+    """ES_alpha = q + (1/alpha) * integral of 1 - F(t) over t > q, q = VaR_alpha.
 
-    With psi(x) = min{(1-x)/alpha, 1}, ES_alpha is the integral of
-    psi(F(t)) - 1 over t < 0 plus the integral of psi(F(t)) over t > 0.
-    Since psi(F(t)) = 1 exactly below the (1-alpha)-quantile q, this reduces
-    to max(q, 0) plus integrals of (1-F(t))/alpha beyond q.
+    The integrand calls only ``cdf``; the quantile function places q and
+    top = F^{-1}(1 - alpha*max(1e4**-lam, 1e-14)), lam the tail index.  Beyond
+    top, where 1 - F is lost to rounding, the power tail adds
+    top*(1 - F(top))/(lam - 1) in closed form (0 for lighter tails).  ``tol``
+    is relative to alpha*max(1, |q|), the absolute error bound of the integral.
     """
     alpha = check_alpha(alpha)
     _require_finite_es(spec)
+    lam = _tail_index(spec)
     q = spec.tail_quantile(alpha)
-    _, upper_bound = _support_bounds(spec)
-    breaks = _cdf_breakpoints(spec)
+    top = spec.tail_quantile(alpha * max(1e4**-lam, 1e-14))
 
-    def tail_weight(t):
-        return (1.0 - spec.cdf(t)) / alpha
+    def survival(t):
+        return 1.0 - spec.cdf(t)
 
-    total = max(q, 0.0)
-    err = 0.0
-    if q < 0.0:
-        value, e = _quad(lambda t: tail_weight(t) - 1.0, q, 0.0, tol / 4.0, breaks)
-        total += value
-        err += e
-    lo = max(q, 0.0)
-    if math.isfinite(upper_bound):
-        if upper_bound > lo:
-            value, e = _quad(tail_weight, lo, upper_bound, tol / 4.0, breaks)
-            total += value
-            err += e
-    else:
-        value, e = _quad(tail_weight, lo, math.inf, tol / 4.0)
-        total += value
-        err += e
-    if err > max(2.0 * tol, 1e-11):
-        raise QuadratureError(
-            f"distortion-form tail integration error {err:.3g} exceeds tolerance {tol:g}"
-        )
-    return float(total)
+    body = _adaptive_gauss(survival, q, top, tol * alpha * max(1.0, abs(q)))
+    tail = top * survival(top) / (lam - 1.0)
+    return q + (body + tail) / alpha
 
 
 # --- asymptotic variance -----------------------------------------------------

@@ -41,7 +41,9 @@ __all__ = [
     "deviation_probability",
     "deviation_curves",
     "histogram",
+    "check_bins",
     "longrun_sigma_oracle",
+    "check_oracle_size",
     "resolve_workers",
 ]
 
@@ -275,14 +277,19 @@ def deviation_curves(spec: ExperimentSpec, workers: int = 0) -> tuple[DeviationC
     return tuple(DeviationCurve(spec.delta, spec.trials, tuple(p)) for p in points)
 
 
+def check_bins(bins: int) -> None:
+    """Validate a histogram bin count: at least one bin."""
+    if bins < 1:
+        raise ParameterError(f"bins: must be >= 1 (got {bins})")
+
+
 def histogram(estimates, bins: int) -> HistogramResult:
     """Equal-width histogram over [min, max].
 
     Values falling exactly on an interior edge count toward the lower bin (the
     global minimum stays in the first bin).
     """
-    if bins < 1:
-        raise ParameterError(f"bins: must be >= 1 (got {bins})")
+    check_bins(bins)
     est = np.asarray(estimates, dtype=np.float64).ravel()
     if est.size == 0:
         raise ParameterError("estimates: must be nonempty")
@@ -297,6 +304,14 @@ def histogram(estimates, bins: int) -> HistogramResult:
     return HistogramResult(edges, counts, lo, hi, est.size)
 
 
+def check_oracle_size(block_size: int, blocks: int) -> None:
+    """Validate the batch-means layout of :func:`longrun_sigma_oracle`."""
+    if blocks < 100:
+        raise ParameterError(f"blocks: need >= 100 batches for a stable estimate (got {blocks})")
+    if block_size < 2:
+        raise ParameterError(f"block_size: must be >= 2 (got {block_size})")
+
+
 def longrun_sigma_oracle(process: ProcessSpec, alpha: float, block_size: int,
                          blocks: int, seed: int) -> float:
     """Batch-means estimate of the long-run variance of the plug-in estimator.
@@ -307,10 +322,7 @@ def longrun_sigma_oracle(process: ProcessSpec, alpha: float, block_size: int,
     to the asymptotic variance of the plug-in estimator.
     """
     alpha = check_alpha(alpha)
-    if blocks < 100:
-        raise ParameterError(f"blocks: need >= 100 batches for a stable estimate (got {blocks})")
-    if block_size < 2:
-        raise ParameterError(f"block_size: must be >= 2 (got {block_size})")
+    check_oracle_size(block_size, blocks)
     total = block_size * blocks
     path = _draw_batch(process, np.array([seed & rng.MASK64], dtype=np.uint64), total)[0]
     batch_estimates = estim.plugin_es_batch(path.reshape(blocks, block_size), alpha)

@@ -185,6 +185,26 @@ def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_co
     assert not (out / "run_meta.json").exists()
 
 
+@pytest.mark.parametrize("command, flags, overrides, message", [
+    ("hist", ["--n", "7"], {}, "--n 7"),
+    ("hist", ["--bins", "0"], {}, "bins"),
+    ("curve", ["--workers", "-1"], {}, "workers"),
+    ("mixing", [], {"oracle": {"blocks": 5}}, "blocks"),
+])
+def test_bad_argument_before_output(tmp_path, capsys, trivial_config,
+                                    command, flags, overrides, message):
+    _, cfg = trivial_config
+    if command == "mixing":
+        overrides = dict(overrides, process={"kind": "ar1", "rho": 0.5})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(cfg, **overrides)))
+    out = tmp_path / "o"
+    code, _, err = run_cli(capsys, command, "--config", str(bad), "--out", str(out), *flags)
+    assert code == 2 and message in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not (out / "run_meta.json").exists()
+
+
 def test_curve_bad_workers_env(tmp_path, capsys, monkeypatch, trivial_config):
     config, _ = trivial_config
     monkeypatch.setenv("SHORTFALL_WORKERS", "abc")

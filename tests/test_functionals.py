@@ -19,6 +19,12 @@ CONTINUOUS_FINITE_ES = [
     dist.Exponential(1.0),
 ]
 
+# power tails; for the heaviest, most of ES lies where 1 - F(t) is lost to rounding
+HEAVY_TAILS = [dist.Pareto(1.0, lam) for lam in (1.01, 1.1, 1.5, 2.2)] + [
+    dist.StudentT(1.05),
+    dist.StudentT(2.5),
+]
+
 
 # --- closed forms ----------------------------------------------------------------
 
@@ -85,13 +91,13 @@ def test_es_distortion_examples():
 
 
 def test_es_distortion_negative_region():
-    # a shifted normal puts the (1-alpha)-quantile below zero, exercising the
-    # t < 0 branch of the distortion integral
+    # a shifted normal puts the (1-alpha)-quantile and ES below zero
     spec = dist.Normal(-5.0, 1.0)
     assert fn.es_by_distortion(spec, 0.1) == pytest.approx(fn.es_exact(spec, 0.1), abs=1e-8)
 
 
-@pytest.mark.parametrize("spec", CONTINUOUS_FINITE_ES, ids=lambda s: repr(s))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", CONTINUOUS_FINITE_ES + HEAVY_TAILS, ids=lambda s: repr(s))
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
 def test_three_routes_agree(spec, alpha):
     exact = fn.es_exact(spec, alpha)
