@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mc, report
+from . import estim, mc, report
 from .corrupt import MaxShiftGaussian, NoCorruption, model_to_json
 from .dist import AR1, IID
 from .errors import InfiniteShortfallError, ParameterError, ShortfallError
@@ -190,24 +190,34 @@ DEMO_CORRUPTION = MaxShiftGaussian(k=3, mu=5.0, sigma=250.0)
 def cmd_corrupt_demo(args) -> int:
     cfg, spec = _load_config(args.config)
     n = _histogram_n(args, spec)
-    out = _prepare_out(args, cfg)
     corruption = spec.corruption if not isinstance(spec.corruption, NoCorruption) else DEMO_CORRUPTION
-    clean = mc.run_trials(dataclasses.replace(spec, corruption=NoCorruption()), n, args.workers)
-    dirty = mc.run_trials(dataclasses.replace(spec, corruption=corruption), n, args.workers)
+    clean = dataclasses.replace(spec, sample_sizes=(n,), corruption=NoCorruption())
+    dirty = dataclasses.replace(clean, corruption=corruption)  # checks the attack at n
+    out = _prepare_out(args, cfg)
     print(f"corruption: {model_to_json(corruption)}")
-    _write_histograms(args, out, spec, clean, "clean")
-    _write_histograms(args, out, spec, dirty, "corrupted")
+    for run, phase in ((clean, "clean"), (dirty, "corrupted")):
+        _write_histograms(args, out, spec, mc.run_trials(run, n, args.workers), phase)
     return 0
+
+
+def _oracle_size(cfg: dict) -> tuple[int, int]:
+    """The checked (block_size, blocks) of a mixing config's long-run variance oracle."""
+    oracle = cfg.get("oracle", {})
+    if not isinstance(oracle, dict):
+        raise _fail(f"config: oracle: expected an object (got {oracle!r})")
+    try:
+        sizes = int(oracle.get("block_size", 10_000)), int(oracle.get("blocks", 200))
+    except (TypeError, ValueError) as exc:
+        raise _fail(f"config: oracle: {exc}")
+    mc.check_oracle_size(*sizes)
+    return sizes
 
 
 def cmd_mixing(args) -> int:
     cfg, spec = _load_config(args.config)
     if not isinstance(spec.process, AR1):
         raise _fail("config: the mixing command expects an \"ar1\" process")
-    oracle_cfg = cfg.get("oracle", {})
-    block_size = int(oracle_cfg.get("block_size", 10_000))
-    blocks = int(oracle_cfg.get("blocks", 200))
-    mc.check_oracle_size(block_size, blocks)
+    block_size, blocks = _oracle_size(cfg)
     out = _prepare_out(args, cfg)
     curves = mc.deviation_curves(spec, workers=args.workers)
     _write_curves(args, out, spec, curves, f"AR(1) rho={spec.process.rho:g}")
@@ -251,14 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     est = subs.add_parser("estimate", help="estimate ES from a data file")
     est.add_argument("data_file")
     est.add_argument("--alpha", type=float, required=True)
-    est.add_argument("--kind", default="plugin",
-                     choices=("plugin", "truncated", "median_of_blocks", "trimmed"))
-    est.add_argument("--m", type=int, default=250)
-    est.add_argument("--beta1", type=float, default=0.5)
-    est.add_argument("--beta2", type=float, default=0.6)
+    est.add_argument("--kind", default="plugin", choices=estim.KINDS)
+    est.add_argument("--m", type=int, default=estim.DEFAULT_M)
+    est.add_argument("--beta1", type=float, default=estim.DEFAULT_BETA1)
+    est.add_argument("--beta2", type=float, default=estim.DEFAULT_BETA2)
     est.add_argument("--gap", type=int, default=0)
-    est.add_argument("--trim-c", type=float, default=0.25)
-    est.add_argument("--trim-exp", type=float, default=1.0 / 3.0)
+    est.add_argument("--trim-c", type=float, default=estim.DEFAULT_TRIM_C)
+    est.add_argument("--trim-exp", type=float, default=estim.DEFAULT_TRIM_EXPONENT)
     est.set_defaults(fn=cmd_estimate)
 
     tab = subs.add_parser("table1", help="D(alpha) and sigma_ES over the catalog")

@@ -109,28 +109,25 @@ def apply_corruption_batch(samples: np.ndarray, model: CorruptionModel,
     Modifies and returns ``samples`` (the Monte Carlo engine owns the buffer).
     """
     n = samples.shape[1]
-    if isinstance(model, (MaxShiftGaussian, ReplaceLargest)):
-        if model.k > n:
-            raise ParameterError(f"k: cannot corrupt {model.k} of {n} samples")
-        if model.k == 0:
-            return samples
-    if isinstance(model, NoCorruption):
+    if isinstance(model, ReplaceIndices):
+        need, what = max(model.indices, default=0), "indices up to"
+    elif isinstance(model, (NoCorruption, MaxShiftGaussian, ReplaceLargest)):
+        need, what = model.k, "k ="
+    else:
+        raise ParameterError(f"model: unknown corruption model {type(model).__name__}")
+    if need > n:
+        raise ParameterError(f"corruption: N={n} is too small for {what} {need}")
+    if need == 0:
         return samples
     if isinstance(model, MaxShiftGaussian):
         shocks = model.mu + model.sigma * sp.ndtri(rng.uniform_matrix(seeds, model.k))
         np.maximum(samples[:, : model.k], shocks, out=samples[:, : model.k])
-        return samples
-    if isinstance(model, ReplaceLargest):
+    elif isinstance(model, ReplaceLargest):
         order = np.argpartition(samples, n - model.k, axis=1)[:, n - model.k:]
         np.put_along_axis(samples, order, model.value, axis=1)
-        return samples
-    if isinstance(model, ReplaceIndices):
-        idx = np.array(sorted(model.indices), dtype=np.int64) - 1
-        if idx.size and idx[-1] >= n:
-            raise ParameterError(f"indices: largest index {idx[-1] + 1} exceeds N={n}")
-        samples[:, idx] = model.value
-        return samples
-    raise ParameterError(f"model: unknown corruption model {type(model).__name__}")
+    else:
+        samples[:, np.array(sorted(model.indices), dtype=np.int64) - 1] = model.value
+    return samples
 
 
 def corruption_budget(n: int, eps: float) -> int:

@@ -378,9 +378,6 @@ class AtomMix:
                         np.where(w <= self.alpha + self.delta, ramp, self.x0))
 
 
-#: Families whose support is bounded below (quantile(0) = essential infimum).
-_BOUNDED_BELOW = (Lognormal, Pareto, Exponential, ScaledBernoulli, AtomMix)
-
 DistributionSpec = (
     Normal | StudentT | Logistic | Lognormal | Pareto | Exponential | ScaledBernoulli | AtomMix
 )

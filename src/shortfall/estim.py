@@ -150,25 +150,30 @@ def interp_quantile_rows(values, beta: float) -> np.ndarray:
     return _interp_sorted(np.sort(_as_batch(values), axis=-1), beta)
 
 
-def _block_count(n: int, m: int, gap: int) -> int:
+def _check_layout(m: int, gap: int) -> None:
     if m < 1:
         raise ParameterError(f"m: block size must be >= 1 (got {m})")
     if gap < 0:
         raise ParameterError(f"gap: must be >= 0 (got {gap})")
-    return n // (m + gap)
+
+
+def _block_count(n: int, m: int, gap: int, need: int = 1) -> int:
+    """Complete blocks of stride ``m + gap`` in ``n`` values; at least ``need``."""
+    _check_layout(m, gap)
+    count = n // (m + gap)
+    if count < need:
+        max_m = n // need - gap
+        hint = f"reduce m (largest valid m is {max_m})" if max_m >= 1 else "provide more data"
+        raise ParameterError(f"m: N={n} below the minimum {need * (m + gap)}: need >= {need} "
+                             f"complete block{'s' if need > 1 else ''}; {hint}")
+    return count
 
 
 def _block_view(a: np.ndarray, m: int, gap: int) -> np.ndarray:
     """Reshape trailing axis into complete blocks; drops leftover samples."""
-    n = a.shape[-1]
-    count = _block_count(n, m, gap)
-    if count == 0:
-        raise ParameterError(
-            f"m: no complete block fits (N={n}, m={m}, gap={gap})"
-        )
+    count = _block_count(a.shape[-1], m, gap)
     stride = m + gap
-    lead = a.shape[:-1]
-    return a[..., : count * stride].reshape(*lead, count, stride)[..., gap:]
+    return a[..., : count * stride].reshape(*a.shape[:-1], count, stride)[..., gap:]
 
 
 def block_estimates(sample, alpha: float, m: int, gap: int = 0) -> np.ndarray:
@@ -194,11 +199,15 @@ def _sorted_blocks(a: np.ndarray, alpha: float, m: int, gap: int) -> np.ndarray:
     return np.sort(block_estimates_batch(a, alpha, m, gap), axis=-1)
 
 
-def _check_betas(beta1: float, beta2: float) -> None:
+def _check_beta_order(beta1: float, beta2: float) -> None:
     if not 0.0 <= beta1 <= beta2 <= 1.0:
         raise ParameterError(
             f"beta1/beta2: need 0 <= beta1 <= beta2 <= 1 (got {beta1}, {beta2})"
         )
+
+
+def _check_betas(beta1: float, beta2: float) -> None:
+    _check_beta_order(beta1, beta2)
     lo, hi = THEORY_BETA_RANGE
     if beta1 < lo or beta2 > hi:
         warnings.warn(
@@ -206,13 +215,6 @@ def _check_betas(beta1: float, beta2: float) -> None:
             f"range [{lo}, {hi}]",
             stacklevel=3,
         )
-
-
-def _require_two_blocks(n: int, m: int, gap: int) -> None:
-    if _block_count(n, m, gap) < 2:
-        max_m = n // 2 - gap
-        hint = f"reduce m (largest valid m is {max_m})" if max_m >= 1 else "provide more data"
-        raise ParameterError(f"m: need >= 2 complete blocks; {hint}")
 
 
 def _clamp(full: np.ndarray, blocks: np.ndarray, beta1: float, beta2: float):
@@ -245,7 +247,7 @@ def truncated_es_batch(samples, alpha: float, m: int = DEFAULT_M,
     alpha = check_alpha(alpha)
     _check_betas(beta1, beta2)
     a = _as_batch(samples)
-    _require_two_blocks(a.shape[1], m, gap)
+    _block_count(a.shape[1], m, gap, need=2)
     rows = _clamp(plugin_es_batch(a, alpha), _sorted_blocks(a, alpha, m, gap), beta1, beta2)
     return rows if return_interval else rows[0]
 
@@ -267,9 +269,13 @@ def median_of_blocks_batch(samples, alpha: float, m: int = DEFAULT_M, gap: int =
     return _median(_sorted_blocks(_as_batch(samples), check_alpha(alpha), m, gap))
 
 
+def _check_trim_c(c: float) -> None:
+    if not c > 0.0:
+        raise ParameterError(f"trim_c: trimming constant must be > 0 (got {c})")
+
+
 def _trim_count(n: int, c: float, exponent: float) -> int:
-    if c <= 0.0:
-        raise ParameterError(f"c: trimming constant must be > 0 (got {c})")
+    _check_trim_c(c)
     k = int(math.floor(c * n**exponent))
     if k >= n:
         raise ParameterError(f"c: trimming removes the whole sample (k={k}, N={n})")
@@ -307,7 +313,7 @@ def suggested_block_size(eps: float) -> int:
 
 # --- configuration ------------------------------------------------------------
 
-_KINDS = ("plugin", "truncated", "median_of_blocks", "trimmed")
+KINDS = ("plugin", "truncated", "median_of_blocks", "trimmed")
 
 
 @dataclass(frozen=True)
@@ -323,19 +329,14 @@ class EstimatorConfig:
     trim_exponent: float = DEFAULT_TRIM_EXPONENT
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError(f"kind: unknown estimator {self.kind!r} (use one of {_KINDS})")
+        if self.kind not in KINDS:
+            raise ParameterError(f"kind: unknown estimator {self.kind!r} (use one of {KINDS})")
         if self.kind in ("truncated", "median_of_blocks"):
-            if self.m < 1:
-                raise ParameterError(f"m: block size must be >= 1 (got {self.m})")
-            if self.gap < 0:
-                raise ParameterError(f"gap: must be >= 0 (got {self.gap})")
-        if self.kind == "truncated" and not 0.0 <= self.beta1 <= self.beta2 <= 1.0:
-            raise ParameterError(
-                f"beta1/beta2: need 0 <= beta1 <= beta2 <= 1 (got {self.beta1}, {self.beta2})"
-            )
-        if self.kind == "trimmed" and not self.trim_c > 0.0:
-            raise ParameterError(f"trim_c: trimming constant must be > 0 (got {self.trim_c})")
+            _check_layout(self.m, self.gap)
+        if self.kind == "truncated":
+            _check_beta_order(self.beta1, self.beta2)
+        if self.kind == "trimmed":
+            _check_trim_c(self.trim_c)
 
     def label(self) -> str:
         if self.kind == "plugin":
@@ -353,14 +354,6 @@ class EstimatorConfig:
 
     def evaluate_batch(self, samples, alpha: float) -> np.ndarray:
         return evaluate_many((self,), samples, alpha)[0]
-
-    def min_sample_size(self) -> int:
-        """Smallest N the estimator accepts."""
-        if self.kind == "truncated":
-            return 2 * (self.m + self.gap)
-        if self.kind == "median_of_blocks":
-            return self.m + self.gap
-        return 1
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -411,7 +404,7 @@ def evaluate_many(estimators, samples, alpha: float) -> list[np.ndarray]:
             out.append(_median(blocks(est.m, est.gap)))
         elif est.kind == "truncated":
             _check_betas(est.beta1, est.beta2)
-            _require_two_blocks(a.shape[1], est.m, est.gap)
+            _block_count(a.shape[1], est.m, est.gap, need=2)
             out.append(_clamp(full(), blocks(est.m, est.gap), est.beta1, est.beta2)[0])
         else:
             out.append(trimmed_es_batch(a, alpha, est.trim_c, est.trim_exponent))

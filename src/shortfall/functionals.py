@@ -139,6 +139,7 @@ def es_exact(spec: DistributionSpec, alpha: float) -> float:
 
 _GAUSS_LOW = sp.roots_legendre(10)
 _GAUSS_HIGH = sp.roots_legendre(21)
+_INITIAL_PANELS, _MAX_PANELS, _MAX_ROUNDS = 8, 16384, 120
 
 
 def _panel_rule(f, panels: np.ndarray):
@@ -152,21 +153,20 @@ def _panel_rule(f, panels: np.ndarray):
     return high, np.abs(high - low)
 
 
-def _adaptive_gauss(f, a: float, b: float, tol: float,
-                    initial: int = 8, max_panels: int = 16384, max_rounds: int = 120) -> float:
+def _adaptive_gauss(f, a: float, b: float, tol: float) -> float:
     """Adaptive bisection with per-panel Gauss 10/21 error estimates.
 
     Splits every panel whose local error exceeds its share of ``tol`` until
     the summed error estimate is below ``tol``.
     """
-    edges = np.linspace(a, b, initial + 1)
+    edges = np.linspace(a, b, _INITIAL_PANELS + 1)
     panels = np.column_stack([edges[:-1], edges[1:]])
     vals, errs = _panel_rule(f, panels)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         total_err = errs.sum()
         if total_err <= tol:
             return float(vals.sum())
-        if len(panels) > max_panels:
+        if len(panels) > _MAX_PANELS:
             break
         bad = errs > tol / (2.0 * len(panels))
         if not bad.any():

@@ -6,7 +6,9 @@ is active, feeds ``rng.split(trial_seed, CORRUPTION_STREAM)`` to the
 corruptor).  Every trial is therefore a pure function of ``(spec, N, t)``:
 results are bit-identical no matter how trials are batched or how many worker
 processes execute them, and the engine only ever keeps one scalar estimate per
-trial.
+trial.  Preconditions on ``N`` live in the kernels alone: :class:`ExperimentSpec`
+(at every ``N``) and :func:`run_trials_multi` run trial 0's corruption and
+estimators on an empty ``(0, N)`` batch, so they fail before any trial runs.
 
 Trials ``[0, trials)`` are split into one near-equal contiguous range per
 worker process (no pool at one worker).  Each range runs in row-wise
@@ -85,7 +87,8 @@ class ExperimentSpec:
         sizes = tuple(int(n) for n in self.sample_sizes)
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
             raise ParameterError("sample_sizes: need a nonempty, strictly increasing list of N >= 1")
-        _validate_for_n(estimators, sizes[0])
+        for n in sizes:
+            _check_trial_zero(estimators, self.alpha, n, self.corruption)
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "estimators", estimators)
 
@@ -210,14 +213,15 @@ def _run_span(process: ProcessSpec, estimators: tuple[EstimatorConfig, ...],
                                t0, min(t0 + rows, t_stop)) for t0 in range(t_start, t_stop, rows)])
 
 
-def _validate_for_n(estimators, n: int) -> None:
+def _check_trial_zero(estimators, alpha: float, n: int, corruption: CorruptionModel) -> None:
+    """Trial 0's corruption and estimators on an empty (0, n) batch: the kernels' checks."""
+    empty = apply_corruption_batch(np.empty((0, n)), corruption, np.empty(0, np.uint64))
     for est in estimators:
-        need = est.min_sample_size()
-        if n < need:
-            raise ParameterError(
-                f"estimator {est.label()}: N={n} below the minimum {need} "
-                f"(failure would occur at trial 0)"
-            )
+        try:
+            estim.evaluate_many((est,), empty, alpha)
+        except ParameterError as exc:
+            raise ParameterError(f"estimator {est.label()}: {exc} "
+                                 "(failure would occur at trial 0)") from None
 
 
 def run_trials_multi(process: ProcessSpec, estimators, alpha: float, n: int,
@@ -232,9 +236,7 @@ def run_trials_multi(process: ProcessSpec, estimators, alpha: float, n: int,
     estimators = tuple(estimators)
     if trials < 1:
         raise ParameterError(f"trials: must be >= 1 (got {trials})")
-    if not isinstance(corruption, NoCorruption) and corruption.k > n:
-        raise ParameterError(f"corruption: k={corruption.k} exceeds N={n}")
-    _validate_for_n(estimators, n)
+    _check_trial_zero(estimators, alpha, n, corruption)
     workers = min(resolve_workers(workers), -(-trials // max(1, _SUB_BATCH_ELEMENTS // n)))
     job = (process, estimators, alpha, n, master_seed, corruption)
     if workers == 1:

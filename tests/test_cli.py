@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +172,8 @@ def test_curve_bad_config(tmp_path, capsys, trivial_config):
 @pytest.mark.parametrize("estimators, sample_sizes, message", [
     ([{"kind": "truncated", "m": 250}], [400], "N=400 below the minimum 500"),
     ([{"kind": "trimmed", "trim_c": 0}], [20, 40], "trim_c"),
+    ([{"kind": "trimmed", "trim_c": 1, "trim_exp": 1}], [20, 40], "k=20, N=20"),
+    ([{"kind": "trimmed", "trim_c": 0.2, "trim_exp": 1.5}], [20, 40], "k=50, N=40"),
 ])
 def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_config,
                                                     estimators, sample_sizes, message):
@@ -190,6 +193,13 @@ def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_co
     ("hist", ["--bins", "0"], {}, "bins"),
     ("curve", ["--workers", "-1"], {}, "workers"),
     ("mixing", [], {"oracle": {"blocks": 5}}, "blocks"),
+    ("mixing", [], {"oracle": {"block_size": "big"}}, "oracle"),
+    ("mixing", [], {"oracle": [10_000, 200]}, "oracle"),
+    ("corrupt-demo", [], {"estimators": [{"kind": "plugin"}], "sample_sizes": [2]}, "k = 3"),
+    ("curve", ["--workers", "1"],
+     {"corruption": {"kind": "replace_largest", "k": 30, "value": 1e6}}, "N=20 is too small"),
+    ("curve", ["--workers", "1"],
+     {"corruption": {"kind": "replace_indices", "indices": [30], "value": 1e6}}, "indices up to 30"),
 ])
 def test_bad_argument_before_output(tmp_path, capsys, trivial_config,
                                     command, flags, overrides, message):
@@ -322,6 +332,16 @@ def test_mixing_command(tmp_path, capsys):
     assert sigma_lines[0] == "process,block_size,blocks,sigma2"
     values = {l.split(",")[0]: float(l.split(",")[3]) for l in sigma_lines[1:]}
     assert values["ar1"] > values["iid_normal"]
+
+
+def test_shipped_configs_build():
+    configs = sorted(Path(__file__).resolve().parents[1].joinpath("configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        cfg, spec = cli._load_config(str(path))
+        assert list(spec.sample_sizes) == cfg["sample_sizes"]
+    mixing = json.loads(configs[0].with_name("mixing.json").read_text())
+    assert cli._oracle_size(mixing) == (mixing["oracle"]["block_size"], mixing["oracle"]["blocks"])
 
 
 def test_mixing_requires_ar1(tmp_path, capsys, trivial_config):

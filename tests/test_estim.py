@@ -461,5 +461,7 @@ def test_estimator_config_roundtrip_and_eval():
     for c in (0.0, -0.5, math.nan):
         with pytest.raises(ParameterError, match="trim_c"):
             estim.EstimatorConfig("trimmed", trim_c=c)
+        with pytest.raises(ParameterError, match="trim_c"):
+            estim.trimmed_es(x, 0.1, c=c)
     with pytest.raises(ParameterError, match="unknown field"):
         estim.EstimatorConfig.from_json({"kind": "plugin", "bogus": 1})
