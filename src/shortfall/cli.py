@@ -29,7 +29,7 @@ import numpy as np
 from . import estim, mc, report
 from .corrupt import MaxShiftGaussian, NoCorruption, model_to_json
 from .dist import AR1, IID
-from .errors import InfiniteShortfallError, ParameterError, ShortfallError
+from .errors import InfiniteShortfallError, ParameterError, ShortfallError, check_fields
 from .estim import EstimatorConfig, truncated_es_interval
 from .functionals import check_alpha, table1_rows
 
@@ -100,10 +100,11 @@ def _load_config(path: str) -> tuple[dict, mc.ExperimentSpec]:
         raise _fail(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise _fail(f"{path}: invalid JSON: {exc}")
-    if cfg.get("version") != CONFIG_VERSION:
+    if not isinstance(cfg, dict) or cfg.get("version") != CONFIG_VERSION:
         raise _fail(f"{path}: expected \"version\": {CONFIG_VERSION}")
-    try:
-        return cfg, mc.ExperimentSpec.from_json(cfg)
+    try:  # the spec fields, less the keys this front end reads itself
+        return cfg, mc.ExperimentSpec.from_json(
+            {k: v for k, v in cfg.items() if k not in ("version", "oracle")})
     except KeyError as exc:
         raise _fail(f"config: missing field {exc.args[0]!r}")
     except InfiniteShortfallError:  # the process, not a field, is at fault: main reports it
@@ -132,19 +133,17 @@ def _prepare_out(args, cfg: dict) -> Path:
     return out
 
 
-def _write_svg(path: Path, svg: str) -> None:
-    path.write_text(svg, newline="\n")
+def _write(path: Path, text: str) -> None:
+    path.write_text(text, newline="\n")
     print(f"wrote {path}")
 
 
 def _write_curves(args, out: Path, spec: mc.ExperimentSpec, curves, title: str) -> None:
     for i, curve in enumerate(curves):
-        path = out / f"curve_{_file_tag(spec, i)}.csv"
-        path.write_text(report.curve_to_csv(curve), newline="\n")
-        print(f"wrote {path}")
+        _write(out / f"curve_{_file_tag(spec, i)}.csv", report.curve_to_csv(curve))
     if args.svg:
         labelled = [(est.label(), c) for est, c in zip(spec.estimators, curves)]
-        _write_svg(out / "curve.svg", report.curve_svg(labelled, title=title))
+        _write(out / "curve.svg", report.curve_svg(labelled, title=title))
 
 
 def cmd_curve(args) -> int:
@@ -168,12 +167,10 @@ def _write_histograms(args, out: Path, spec: mc.ExperimentSpec, results, phase=N
     for i, est in enumerate(spec.estimators):
         hist = mc.histogram(results[i], args.bins)
         stem = f"hist_{_file_tag(spec, i)}" + (f"_{phase}" if phase else "")
-        path = out / f"{stem}.csv"
-        path.write_text(report.histogram_to_csv(hist), newline="\n")
-        print(f"wrote {path}")
+        _write(out / f"{stem}.csv", report.histogram_to_csv(hist))
         if args.svg:
             title = f"{est.label()} ({phase})" if phase else est.label()
-            _write_svg(out / f"{stem}.svg", report.histogram_svg(hist, title=title))
+            _write(out / f"{stem}.svg", report.histogram_svg(hist, title=title))
 
 
 def cmd_hist(args) -> int:
@@ -203,8 +200,7 @@ def cmd_corrupt_demo(args) -> int:
 def _oracle_size(cfg: dict) -> tuple[int, int]:
     """The checked (block_size, blocks) of a mixing config's long-run variance oracle."""
     oracle = cfg.get("oracle", {})
-    if not isinstance(oracle, dict):
-        raise _fail(f"config: oracle: expected an object (got {oracle!r})")
+    check_fields(oracle, ("block_size", "blocks"), "oracle")
     try:
         sizes = int(oracle.get("block_size", 10_000)), int(oracle.get("blocks", 200))
     except (TypeError, ValueError) as exc:
@@ -221,20 +217,15 @@ def cmd_mixing(args) -> int:
     out = _prepare_out(args, cfg)
     curves = mc.deviation_curves(spec, workers=args.workers)
     _write_curves(args, out, spec, curves, f"AR(1) rho={spec.process.rho:g}")
-    summary = ["estimator,N,median_abs_error,p_hat,stderr,count"]
-    summary += [f"{est.kind},{pt.n},{report.format_number(pt.median_abs_error)},"
-                f"{report.format_number(pt.p_hat)},{report.format_number(pt.stderr)},{pt.count}"
-                for est, curve in zip(spec.estimators, curves) for pt in curve.points]
-    (out / "mixing_summary.csv").write_text("\n".join(summary) + "\n", newline="\n")
-    print(f"wrote {out / 'mixing_summary.csv'}")
-
-    lines = ["process,block_size,blocks,sigma2"]
+    _write(out / "mixing_summary.csv", report.rows_to_csv(
+        "estimator,N,median_abs_error,p_hat,stderr,count",
+        [(est.kind, pt.n, pt.median_abs_error, pt.p_hat, pt.stderr, pt.count)
+         for est, curve in zip(spec.estimators, curves) for pt in curve.points]))
+    rows = []
     for label, process in (("ar1", spec.process), ("iid_normal", IID(spec.process.marginal))):
-        sigma2 = mc.longrun_sigma_oracle(process, spec.alpha, block_size, blocks,
-                                         spec.master_seed)
-        lines.append(f"{label},{block_size},{blocks},{report.format_number(sigma2)}")
-    (out / "longrun_sigma.csv").write_text("\n".join(lines) + "\n", newline="\n")
-    print(f"wrote {out / 'longrun_sigma.csv'}")
+        sigma2 = mc.longrun_sigma_oracle(process, spec.alpha, block_size, blocks, spec.master_seed)
+        rows.append((label, block_size, blocks, sigma2))
+    _write(out / "longrun_sigma.csv", report.rows_to_csv("process,block_size,blocks,sigma2", rows))
     return 0
 
 

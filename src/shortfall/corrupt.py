@@ -13,12 +13,13 @@ from 1 to N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import special as sp
 
 from . import rng
-from .errors import ParameterError
+from .errors import ParameterError, check_fields, json_object
 
 __all__ = [
     "NoCorruption",
@@ -39,7 +40,9 @@ BUDGET_CONSTANT = 140.0
 
 @dataclass(frozen=True)
 class NoCorruption:
-    k: int = 0
+    """The identity model: no sample value changes."""
+
+    k: ClassVar[int] = 0
 
 
 @dataclass(frozen=True)
@@ -156,13 +159,17 @@ def model_to_json(model: CorruptionModel) -> dict:
 def model_from_json(obj: dict | None) -> CorruptionModel:
     if obj is None:
         return NoCorruption()
-    kind = obj.get("kind", "none")
+    kind = json_object(obj, "corruption").get("kind", "none")
     if kind == "none":
+        check_fields(obj, ("kind",), "none corruption")
         return NoCorruption()
     if kind == "max_shift_gaussian":
+        check_fields(obj, ("kind", "k", "mu", "sigma"), "max_shift_gaussian corruption")
         return MaxShiftGaussian(int(obj["k"]), float(obj["mu"]), float(obj["sigma"]))
     if kind == "replace_largest":
+        check_fields(obj, ("kind", "k", "value"), "replace_largest corruption")
         return ReplaceLargest(int(obj["k"]), float(obj["value"]))
     if kind == "replace_indices":
+        check_fields(obj, ("kind", "indices", "value"), "replace_indices corruption")
         return ReplaceIndices(frozenset(int(i) for i in obj["indices"]), float(obj["value"]))
     raise ParameterError(f"kind: unknown corruption model {kind!r}")

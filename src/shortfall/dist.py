@@ -17,12 +17,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 from scipy import special as sp
 
 from . import rng
-from .errors import NoDensityError, ParameterError
+from .errors import NoDensityError, ParameterError, check_fields, json_object
 
 __all__ = [
     "Normal",
@@ -36,9 +37,6 @@ __all__ = [
     "IID",
     "AR1",
     "sample",
-    "cdf",
-    "quantile",
-    "density",
     "ar1_path",
     "ar1_paths",
     "spec_to_json",
@@ -56,8 +54,25 @@ def _require(condition: bool, field: str, message: str) -> None:
 
 
 def _family(cls):
-    """Class decorator: ``cdf``, ``quantile``, ``pdf`` and ``tail_quantile`` get
-    a float64 array of at least one dimension; a scalar argument gets a float."""
+    """Class decorator: the one home of the rules every family shares.
+
+    ``cdf``, ``quantile``, ``pdf`` and ``tail_quantile`` get a float64 array of
+    at least one dimension; a scalar argument gets a float.  ``quantile(0)`` is
+    the support infimum, and raises for a family declared ``unbounded_below``
+    (the inverse is -inf there), as does any level outside [0, 1].  NaN levels
+    and empty arrays pass.
+    """
+    unbounded_below = getattr(cls, "unbounded_below", False)
+    quantile = vars(cls)["quantile"]
+
+    @functools.wraps(quantile)
+    def checked_quantile(self, u):
+        if np.any(u < 0.0) or np.any(u > 1.0):
+            raise ParameterError("u: quantile level must lie in [0, 1]")
+        if unbounded_below and np.any(u == 0.0):
+            raise ParameterError("u: quantile(0) undefined for a distribution unbounded below")
+        return quantile(self, u)
+
     def array_in_scalar_out(method):
         @functools.wraps(method)
         def wrapper(self, x):
@@ -66,14 +81,10 @@ def _family(cls):
             return float(out[0]) if arr.ndim == 0 else out
         return wrapper
 
+    cls.quantile = checked_quantile
     for name in ("cdf", "quantile", "pdf", "tail_quantile"):
         setattr(cls, name, array_in_scalar_out(vars(cls)[name]))
     return cls
-
-
-def _check_u(u: np.ndarray) -> None:
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise ParameterError("u: quantile level must lie in [0, 1]")
 
 
 @_family
@@ -81,6 +92,7 @@ def _check_u(u: np.ndarray) -> None:
 class Normal:
     """Normal distribution with mean ``mu`` and standard deviation ``sigma``."""
 
+    unbounded_below: ClassVar[bool] = True
     mu: float = 0.0
     sigma: float = 1.0
 
@@ -91,9 +103,6 @@ class Normal:
         return sp.ndtr((t - self.mu) / self.sigma)
 
     def quantile(self, u):
-        _check_u(u)
-        if np.any(u == 0.0):
-            raise ParameterError("u: quantile(0) undefined for a distribution unbounded below")
         return self.mu + self.sigma * sp.ndtri(u)
 
     def pdf(self, t):
@@ -105,12 +114,16 @@ class Normal:
         return self.mu - self.sigma * sp.ndtri(w)
 
 
+def _t_pdf(nu: float, t: np.ndarray) -> np.ndarray:
+    lognorm = sp.gammaln((nu + 1.0) / 2.0) - sp.gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
+    return np.exp(lognorm - ((nu + 1.0) / 2.0) * np.log1p(t * t / nu))
+
+
 def _t_inverse(nu: float, p: np.ndarray) -> np.ndarray:
     """Inverse Student-t CDF with one Newton polish (stdtrit alone is ~1e-12)."""
     with np.errstate(divide="ignore", over="ignore"):
         q = sp.stdtrit(nu, p)
-        lognorm = sp.gammaln((nu + 1.0) / 2.0) - sp.gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
-        pdf = np.exp(lognorm - ((nu + 1.0) / 2.0) * np.log1p(q * q / nu))
+        pdf = _t_pdf(nu, q)
         residual = sp.stdtr(nu, q) - p
         polished = np.where(pdf > 1e-280, q - residual / np.maximum(pdf, 1e-280), q)
     return polished
@@ -140,6 +153,7 @@ def _t_tail(nu: float, w: np.ndarray) -> np.ndarray:
 class StudentT:
     """Student-t distribution with ``nu`` degrees of freedom (location 0, scale 1)."""
 
+    unbounded_below: ClassVar[bool] = True
     nu: float
 
     def __post_init__(self):
@@ -149,16 +163,11 @@ class StudentT:
         return sp.stdtr(self.nu, t)
 
     def quantile(self, u):
-        _check_u(u)
-        if np.any(u == 0.0):
-            raise ParameterError("u: quantile(0) undefined for a distribution unbounded below")
         q = _t_inverse(self.nu, np.minimum(u, 1.0 - 1e-16))
         return np.where(u == 1.0, np.inf, q)
 
     def pdf(self, t):
-        nu = self.nu
-        lognorm = sp.gammaln((nu + 1.0) / 2.0) - sp.gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
-        return np.exp(lognorm - ((nu + 1.0) / 2.0) * np.log1p(t * t / nu))
+        return _t_pdf(self.nu, t)
 
     def tail_quantile(self, w):
         """Upper-tail quantile F^{-1}(1 - w), stable for tiny w."""
@@ -170,6 +179,7 @@ class StudentT:
 class Logistic:
     """Logistic distribution with the given location and scale."""
 
+    unbounded_below: ClassVar[bool] = True
     location: float = 0.0
     scale: float = 1.0
 
@@ -180,9 +190,6 @@ class Logistic:
         return sp.expit((t - self.location) / self.scale)
 
     def quantile(self, u):
-        _check_u(u)
-        if np.any(u == 0.0):
-            raise ParameterError("u: quantile(0) undefined for a distribution unbounded below")
         with np.errstate(divide="ignore"):
             return self.location + self.scale * (np.log(u) - np.log1p(-u))
 
@@ -215,7 +222,6 @@ class Lognormal:
         return out
 
     def quantile(self, u):
-        _check_u(u)
         with np.errstate(divide="ignore"):
             return np.exp(self.mu + self.sigma * sp.ndtri(u))
 
@@ -251,7 +257,6 @@ class Pareto:
         return out
 
     def quantile(self, u):
-        _check_u(u)
         out = 1.0 - u  # one buffer for the whole transform; u is left alone
         with np.errstate(divide="ignore"):
             np.power(out, -1.0 / self.lam, out=out)
@@ -284,7 +289,6 @@ class Exponential:
         return np.where(t >= 0.0, -np.expm1(-self.rate * np.maximum(t, 0.0)), 0.0)
 
     def quantile(self, u):
-        _check_u(u)
         with np.errstate(divide="ignore"):
             return -np.log1p(-u) / self.rate
 
@@ -315,7 +319,6 @@ class ScaledBernoulli:
     def quantile(self, u):
         # Generalized inverse of the two-step CDF; quantile(0) is the support
         # infimum (0, or x when p = 1).
-        _check_u(u)
         out = np.where(u > 1.0 - self.p, self.x, 0.0)
         if self.p >= 1.0:
             out = np.full_like(out, self.x)
@@ -358,7 +361,6 @@ class AtomMix:
         return np.where(t < self.x0, 0.0, np.where(t < 0.0, ramp, 1.0))
 
     def quantile(self, u):
-        _check_u(u)
         base = 1.0 - self.alpha - self.delta
         with np.errstate(invalid="ignore", divide="ignore"):
             ramp = self.x0 + (u - base) * abs(self.x0) / self.delta
@@ -421,28 +423,8 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
 
 def sample_matrix(spec: DistributionSpec, seeds: np.ndarray, n: int) -> np.ndarray:
     """Row ``b`` is the quantiles of ``rng.uniforms(seeds[b], n)``; shape (len(seeds), n)."""
-    if n < 1:
-        raise ParameterError(f"n: must be >= 1 (got {n})")
+    _require(n >= 1, "n", f"must be >= 1 (got {n})")
     return spec.quantile(rng.uniform_matrix(seeds, n))
-
-
-def cdf(spec: DistributionSpec, t):
-    """Distribution function P(X <= t)."""
-    return spec.cdf(t)
-
-
-def quantile(spec: DistributionSpec, u):
-    """Generalized inverse ``inf{t : F(t) >= u}`` for ``u`` in (0, 1].
-
-    ``u = 0`` returns the support infimum for bounded-below families and
-    raises for families unbounded below (where the inverse is -inf).
-    """
-    return spec.quantile(u)
-
-
-def density(spec: DistributionSpec, t):
-    """Density value at ``t``; raises :class:`NoDensityError` at atoms."""
-    return spec.pdf(t)
 
 
 def _ar1_from_innovations(rho: float, z: np.ndarray) -> np.ndarray:
@@ -461,8 +443,7 @@ def ar1_path(rho: float, n: int, seed: int) -> np.ndarray:
 def ar1_paths(rho: float, seeds: np.ndarray, n: int) -> np.ndarray:
     """Row ``b`` is the path driven by ``rng.uniforms(seeds[b], n)``; shape (len(seeds), n)."""
     _require(abs(rho) < 1.0, "rho", f"must satisfy |rho| < 1 (got {rho})")
-    if n < 1:
-        raise ParameterError(f"n: must be >= 1 (got {n})")
+    _require(n >= 1, "n", f"must be >= 1 (got {n})")
     z = sp.ndtri(rng.uniform_matrix(seeds, n))
     return _ar1_from_innovations(rho, z)
 
@@ -489,15 +470,13 @@ def spec_to_json(spec: DistributionSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> DistributionSpec:
+    check_fields(obj, ("family", "params"), "distribution")
     try:
         cls = _FAMILY_BY_NAME[obj["family"]]
     except KeyError as exc:
         raise ParameterError(f"family: unknown distribution {obj.get('family')!r}") from exc
     params = obj.get("params", {})
-    known = {f.name for f in fields(cls)}
-    bad = set(params) - known
-    if bad:
-        raise ParameterError(f"params: unknown field(s) {sorted(bad)} for {obj['family']}")
+    check_fields(params, [f.name for f in fields(cls)], f"{obj['family']} params")
     return cls(**{k: float(v) for k, v in params.items()})
 
 
@@ -508,9 +487,11 @@ def process_to_json(process: ProcessSpec) -> dict:
 
 
 def process_from_json(obj: dict) -> ProcessSpec:
-    kind = obj.get("kind")
+    kind = json_object(obj, "process").get("kind")
     if kind == "iid":
+        check_fields(obj, ("kind", "dist"), "iid process")
         return IID(spec_from_json(obj["dist"]))
     if kind == "ar1":
+        check_fields(obj, ("kind", "rho"), "ar1 process")
         return AR1(float(obj["rho"]))
     raise ParameterError(f"kind: unknown process {kind!r}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_fields, json_object
 from .functionals import check_alpha
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "suggested_block_size",
     "plugin_es_batch",
     "block_estimates_batch",
-    "interp_quantile_rows",
     "truncated_es_batch",
     "median_of_blocks_batch",
     "trimmed_es_batch",
@@ -130,7 +129,9 @@ def interp_quantile(values, beta: float) -> float:
     Breakpoints sit at (j-1)/(n-1) for the j-th order statistic, j = 1..n.
     A single value is returned as-is (documented extension of the n >= 2 case).
     """
-    return float(interp_quantile_rows(_one_row(values), beta)[0])
+    if not 0.0 <= beta <= 1.0:
+        raise ParameterError(f"beta: must lie in [0, 1] (got {beta})")
+    return float(_interp_sorted(np.sort(_as_sample(values)), beta))
 
 
 def _interp_sorted(ordered: np.ndarray, beta: float) -> np.ndarray:
@@ -141,13 +142,6 @@ def _interp_sorted(ordered: np.ndarray, beta: float) -> np.ndarray:
     j = min(int(math.floor(position)), n - 2)
     frac = position - j
     return (1.0 - frac) * ordered[..., j] + frac * ordered[..., j + 1]
-
-
-def interp_quantile_rows(values, beta: float) -> np.ndarray:
-    """Row-wise :func:`interp_quantile` for a 2-d array."""
-    if not 0.0 <= beta <= 1.0:
-        raise ParameterError(f"beta: must lie in [0, 1] (got {beta})")
-    return _interp_sorted(np.sort(_as_batch(values), axis=-1), beta)
 
 
 def _check_layout(m: int, gap: int) -> None:
@@ -269,14 +263,19 @@ def median_of_blocks_batch(samples, alpha: float, m: int = DEFAULT_M, gap: int =
     return _median(_sorted_blocks(_as_batch(samples), check_alpha(alpha), m, gap))
 
 
-def _check_trim_c(c: float) -> None:
-    if not c > 0.0:
-        raise ParameterError(f"trim_c: trimming constant must be > 0 (got {c})")
+def _check_trim(c: float, exponent: float) -> None:
+    if not 0.0 < c < math.inf:
+        raise ParameterError(f"trim_c: trimming constant must be finite and > 0 (got {c})")
+    if not math.isfinite(exponent):
+        raise ParameterError(f"trim_exp: trimming exponent must be finite (got {exponent})")
 
 
 def _trim_count(n: int, c: float, exponent: float) -> int:
-    _check_trim_c(c)
-    k = int(math.floor(c * n**exponent))
+    _check_trim(c, exponent)
+    try:
+        k = math.floor(c * n**exponent)
+    except OverflowError:  # c * N**exponent beyond the float range
+        k = math.inf
     if k >= n:
         raise ParameterError(f"c: trimming removes the whole sample (k={k}, N={n})")
     return k
@@ -336,7 +335,7 @@ class EstimatorConfig:
         if self.kind == "truncated":
             _check_beta_order(self.beta1, self.beta2)
         if self.kind == "trimmed":
-            _check_trim_c(self.trim_c)
+            _check_trim(self.trim_c, self.trim_exponent)
 
     def label(self) -> str:
         if self.kind == "plugin":
@@ -370,12 +369,10 @@ class EstimatorConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
-        known = {"kind", "m", "beta1", "beta2", "gap", "trim_c", "trim_exp"}
-        bad = set(obj) - known
-        if bad:
-            raise ParameterError(f"estimator: unknown field(s) {sorted(bad)}")
+        kind = json_object(obj, "estimator").get("kind", "")
+        check_fields(obj, cls(kind).to_json(), f"{kind} estimator")  # the fields its kind reads
         return cls(
-            kind=obj.get("kind", ""),
+            kind=kind,
             m=int(obj.get("m", DEFAULT_M)),
             beta1=float(obj.get("beta1", DEFAULT_BETA1)),
             beta2=float(obj.get("beta2", DEFAULT_BETA2)),

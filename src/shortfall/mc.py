@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import estim, functionals, rng
 from .corrupt import CorruptionModel, NoCorruption, apply_corruption_batch, model_from_json, model_to_json
 from .dist import AR1, IID, ProcessSpec, ar1_paths, process_from_json, process_to_json, sample_matrix
-from .errors import ParameterError
+from .errors import ParameterError, check_fields
 from .estim import EstimatorConfig
 from .functionals import check_alpha
 
@@ -108,6 +108,7 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
         """Parse a spec; a missing ``truth`` is the exact ES of the process marginal."""
+        check_fields(obj, [f.name for f in fields(cls)], "experiment")
         process = process_from_json(obj["process"])
         alpha = check_alpha(obj["alpha"])
         truth = obj.get("truth")

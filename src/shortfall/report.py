@@ -21,6 +21,7 @@ from .mc import DeviationCurve, HistogramResult
 
 __all__ = [
     "format_number",
+    "rows_to_csv",
     "curve_to_csv",
     "histogram_to_csv",
     "table1_to_csv",
@@ -40,28 +41,26 @@ def format_number(x) -> str:
     return repr(x)
 
 
-def curve_to_csv(curve: DeviationCurve) -> str:
-    lines = ["N,p_hat,stderr,count"]
-    for pt in curve.points:
-        lines.append(f"{pt.n},{format_number(pt.p_hat)},{format_number(pt.stderr)},{pt.count}")
+def rows_to_csv(header: str, rows) -> str:
+    """The CSV text of ``header`` and ``rows``: strings as-is, numbers by :func:`format_number`."""
+    lines = [header]
+    lines += [",".join(c if isinstance(c, str) else format_number(c) for c in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def curve_to_csv(curve: DeviationCurve) -> str:
+    return rows_to_csv("N,p_hat,stderr,count",
+                       [(pt.n, pt.p_hat, pt.stderr, pt.count) for pt in curve.points])
 
 
 def histogram_to_csv(hist: HistogramResult) -> str:
-    lines = ["bin_left,bin_right,count"]
-    for left, right, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-        lines.append(f"{format_number(left)},{format_number(right)},{int(count)}")
-    return "\n".join(lines) + "\n"
+    return rows_to_csv("bin_left,bin_right,count",
+                       zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts))
 
 
 def table1_to_csv(rows: list[dict]) -> str:
-    lines = ["family,params,alpha,D,sigma"]
-    for row in rows:
-        lines.append(
-            f"{row['family']},{row['params']},{format_number(row['alpha'])},"
-            f"{format_number(row['D'])},{format_number(row['sigma'])}"
-        )
-    return "\n".join(lines) + "\n"
+    return rows_to_csv("family,params,alpha,D,sigma",
+                       [(r["family"], r["params"], r["alpha"], r["D"], r["sigma"]) for r in rows])
 
 
 def canonical_json(obj) -> str:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -151,10 +152,11 @@ def test_spec_hash_changes_iff_config_changes(tmp_path, capsys, trivial_config):
 
 def test_curve_bad_config(tmp_path, capsys, trivial_config):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"version": 2}))
-    code, _, err = run_cli(capsys, "curve", "--config", str(bad),
-                           "--out", str(tmp_path / "o"))
-    assert code == 2 and "version" in err
+    for top in ({"version": 2}, [1]):
+        bad.write_text(json.dumps(top))
+        code, _, err = run_cli(capsys, "curve", "--config", str(bad),
+                               "--out", str(tmp_path / "o"))
+        assert code == 2 and "version" in err
     bad.write_text(json.dumps({"version": 1, "alpha": 0.1}))
     code, _, err = run_cli(capsys, "curve", "--config", str(bad),
                            "--out", str(tmp_path / "o"))
@@ -174,6 +176,10 @@ def test_curve_bad_config(tmp_path, capsys, trivial_config):
     ([{"kind": "trimmed", "trim_c": 0}], [20, 40], "trim_c"),
     ([{"kind": "trimmed", "trim_c": 1, "trim_exp": 1}], [20, 40], "k=20, N=20"),
     ([{"kind": "trimmed", "trim_c": 0.2, "trim_exp": 1.5}], [20, 40], "k=50, N=40"),
+    ([{"kind": "trimmed", "trim_exp": math.inf}], [20, 40], "trim_exp"),
+    ([{"kind": "trimmed", "trim_exp": math.nan}], [20, 40], "trim_exp"),
+    ([{"kind": "trimmed", "trim_c": math.inf}], [20, 40], "trim_c"),
+    ([{"kind": "trimmed", "trim_c": math.nan}], [20, 40], "trim_c"),
 ])
 def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_config,
                                                     estimators, sample_sizes, message):
@@ -200,6 +206,14 @@ def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_co
      {"corruption": {"kind": "replace_largest", "k": 30, "value": 1e6}}, "N=20 is too small"),
     ("curve", ["--workers", "1"],
      {"corruption": {"kind": "replace_indices", "indices": [30], "value": 1e6}}, "indices up to 30"),
+    ("curve", [], {"corruptoin": {"kind": "replace_largest", "k": 1, "value": 1e6}}, "'corruptoin'"),
+    ("curve", [], {"corruption": {"kind": "replace_largest", "k": 1, "value": 1e6, "sigma": 1.0}},
+     "'sigma'"),
+    ("curve", [], {"process": {"kind": "ar1", "rho": 0.5, "dist": {"family": "normal"}}}, "'dist'"),
+    ("curve", [], {"estimators": [{"kind": "plugin", "m": -5, "beta1": 7}]}, "['beta1', 'm']"),
+    ("mixing", [], {"oracle": {"blocks": 200, "block_sise": 10_000}}, "'block_sise'"),
+    ("curve", [], {"estimators": ["plugin"]}, "estimator: expected an object"),
+    ("curve", [], {"process": ["iid"]}, "process: expected an object"),
 ])
 def test_bad_argument_before_output(tmp_path, capsys, trivial_config,
                                     command, flags, overrides, message):

@@ -111,3 +111,13 @@ def test_json_roundtrip():
     assert corrupt.model_from_json(None) == corrupt.NoCorruption()
     with pytest.raises(ParameterError, match="kind"):
         corrupt.model_from_json({"kind": "flip_sign"})
+    for bad in ({"kind": "none", "k": 5},
+                {"kind": "replace_largest", "k": 2, "value": 0.0, "sigma": 1.0}):
+        with pytest.raises(ParameterError, match="unknown field.*'(k|sigma)'"):
+            corrupt.model_from_json(bad)
+
+
+def test_no_corruption_has_no_settable_k():
+    assert corrupt.NoCorruption().k == 0
+    with pytest.raises(TypeError):
+        corrupt.NoCorruption(k=5)

@@ -26,44 +26,44 @@ ATOMIC = [dist.ScaledBernoulli(0.05, 1.0), dist.ScaledBernoulli(1.0, 3.0)]
 
 def test_pareto_cdf_values():
     p = dist.Pareto(1.0, 2.0)
-    assert dist.cdf(p, 2.0) == pytest.approx(0.75, abs=1e-15)
-    assert dist.cdf(p, 0.5) == 0.0
-    assert dist.cdf(p, 1.0) == 0.0
+    assert p.cdf(2.0) == pytest.approx(0.75, abs=1e-15)
+    assert p.cdf(0.5) == 0.0
+    assert p.cdf(1.0) == 0.0
 
 
 def test_bernoulli_cdf_quantile():
     sb = dist.ScaledBernoulli(0.05, 1.0)
-    assert dist.cdf(sb, 0.3) == pytest.approx(0.95)
-    assert dist.quantile(sb, 0.96) == 1.0
-    assert dist.quantile(sb, 0.95) == 0.0
-    assert dist.quantile(sb, 0.5) == 0.0
+    assert sb.cdf(0.3) == pytest.approx(0.95)
+    assert sb.quantile(0.96) == 1.0
+    assert sb.quantile(0.95) == 0.0
+    assert sb.quantile(0.5) == 0.0
 
 
 def test_quantile_values():
-    assert dist.quantile(dist.Pareto(1.0, 2.0), 0.99) == pytest.approx(10.0, rel=1e-12)
-    assert dist.quantile(dist.Normal(0.0, 1.0), 0.5) == pytest.approx(0.0, abs=1e-12)
+    assert dist.Pareto(1.0, 2.0).quantile(0.99) == pytest.approx(10.0, rel=1e-12)
+    assert dist.Normal(0.0, 1.0).quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_density_values():
-    assert dist.density(dist.Exponential(1.0), -1.0) == 0.0
-    assert dist.density(dist.Pareto(1.0, 2.0), 2.0) == pytest.approx(0.25, rel=1e-14)
+    assert dist.Exponential(1.0).pdf(-1.0) == 0.0
+    assert dist.Pareto(1.0, 2.0).pdf(2.0) == pytest.approx(0.25, rel=1e-14)
     with pytest.raises(NoDensityError, match="no density"):
-        dist.density(dist.ScaledBernoulli(0.05, 1.0), 1.0)
+        dist.ScaledBernoulli(0.05, 1.0).pdf(1.0)
 
 
 def test_atom_mix_shape():
     am = dist.AtomMix(-0.1, 0.1, 0.02)
-    assert dist.cdf(am, -0.2) == 0.0
-    assert dist.cdf(am, -0.1) == pytest.approx(0.88)
-    assert dist.cdf(am, -0.05) == pytest.approx(0.89)
-    assert dist.cdf(am, 0.0) == 1.0
-    assert dist.quantile(am, 0.5) == -0.1
-    assert dist.quantile(am, 0.89) == pytest.approx(-0.05)
-    assert dist.quantile(am, 0.95) == 0.0
-    assert dist.density(am, -0.05) == pytest.approx(0.2)
-    assert dist.density(am, -0.5) == 0.0
+    assert am.cdf(-0.2) == 0.0
+    assert am.cdf(-0.1) == pytest.approx(0.88)
+    assert am.cdf(-0.05) == pytest.approx(0.89)
+    assert am.cdf(0.0) == 1.0
+    assert am.quantile(0.5) == -0.1
+    assert am.quantile(0.89) == pytest.approx(-0.05)
+    assert am.quantile(0.95) == 0.0
+    assert am.pdf(-0.05) == pytest.approx(0.2)
+    assert am.pdf(-0.5) == 0.0
     with pytest.raises(NoDensityError):
-        dist.density(am, -0.1)
+        am.pdf(-0.1)
 
 
 # --- parameter and domain validation -------------------------------------------
@@ -93,12 +93,12 @@ def test_invalid_parameters_name_field(ctor, field):
 def test_quantile_at_zero():
     for spec in (dist.Normal(), dist.StudentT(5.0), dist.Logistic()):
         with pytest.raises(ParameterError, match="undefined"):
-            dist.quantile(spec, 0.0)
-    assert dist.quantile(dist.Pareto(1.0, 2.0), 0.0) == 1.0
-    assert dist.quantile(dist.Exponential(1.0), 0.0) == 0.0
-    assert dist.quantile(dist.Lognormal(), 0.0) == 0.0
-    assert dist.quantile(dist.ScaledBernoulli(0.3, 2.0), 0.0) == 0.0
-    assert dist.quantile(dist.AtomMix(-0.1, 0.1, 0.02), 0.0) == -0.1
+            spec.quantile(0.0)
+    assert dist.Pareto(1.0, 2.0).quantile(0.0) == 1.0
+    assert dist.Exponential(1.0).quantile(0.0) == 0.0
+    assert dist.Lognormal().quantile(0.0) == 0.0
+    assert dist.ScaledBernoulli(0.3, 2.0).quantile(0.0) == 0.0
+    assert dist.AtomMix(-0.1, 0.1, 0.02).quantile(0.0) == -0.1
 
 
 @pytest.mark.parametrize("x0", [1.0, 2.5])
@@ -117,10 +117,12 @@ def test_pareto_quantile_bits_and_input_untouched(x0):
 
 
 def test_quantile_bad_levels():
-    with pytest.raises(ParameterError):
-        dist.quantile(dist.Normal(), 1.5)
-    with pytest.raises(ParameterError):
-        dist.quantile(dist.Normal(), -0.1)
+    for spec in CONTINUOUS + ATOMIC + [dist.AtomMix(-0.1, 0.1, 0.02)]:
+        for u in (1.5, -0.1, np.array([0.5, 2.0])):
+            with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+                spec.quantile(u)
+        assert spec.quantile(np.empty(0)).shape == (0,)  # empty arrays and NaN pass
+        spec.quantile(np.array([math.nan, 0.5]))
 
 
 # --- sampling ------------------------------------------------------------------
@@ -149,7 +151,7 @@ def test_pareto_sample_mean():
 
 def test_normal_sample_tail_fraction():
     x = dist.sample(dist.Normal(0.0, 1.0), 10**6, 7)
-    target = dist.cdf(dist.Normal(0.0, 1.0), 1.28155)
+    target = dist.Normal(0.0, 1.0).cdf(1.28155)
     frac = (x <= 1.28155).mean()
     mc_sigma = math.sqrt(target * (1 - target) / x.size)
     assert abs(target - 0.9) < 1e-5
@@ -174,8 +176,8 @@ def test_kolmogorov_smirnov(spec, seed):
     values, counts = np.unique(x, return_counts=True)
     ecdf_right = np.cumsum(counts) / n
     ecdf_left = ecdf_right - counts / n
-    f_right = dist.cdf(spec, values)
-    f_left = dist.cdf(spec, values - 1e-9 * np.maximum(1.0, np.abs(values)))
+    f_right = spec.cdf(values)
+    f_left = spec.cdf(values - 1e-9 * np.maximum(1.0, np.abs(values)))
     ks = max(np.max(np.abs(ecdf_right - f_right)), np.max(np.abs(ecdf_left - f_left)))
     assert ks < 1.95 * 2.0 / math.sqrt(n)
 
@@ -186,7 +188,7 @@ def test_kolmogorov_smirnov(spec, seed):
 @pytest.mark.parametrize("spec", CONTINUOUS, ids=lambda s: repr(s))
 def test_cdf_of_quantile_continuous(spec):
     u = np.linspace(0.01, 0.99, 37)
-    back = dist.cdf(spec, dist.quantile(spec, u))
+    back = spec.cdf(spec.quantile(u))
     assert np.max(np.abs(back - u)) < 1e-12
 
 
@@ -194,23 +196,23 @@ def test_cdf_of_quantile_continuous(spec):
                          ids=lambda s: repr(s))
 def test_cdf_of_quantile_generalized_inverse(spec):
     for u in np.linspace(0.01, 0.99, 23):
-        assert dist.cdf(spec, dist.quantile(spec, u)) >= u - 1e-12
+        assert spec.cdf(spec.quantile(u)) >= u - 1e-12
 
 
 @pytest.mark.parametrize("spec", CONTINUOUS, ids=lambda s: repr(s))
 def test_density_matches_cdf_derivative(spec):
     u = np.linspace(0.04, 0.96, 20)
-    x = dist.quantile(spec, u)
+    x = spec.quantile(u)
     h = 1e-4
-    fd = (dist.cdf(spec, x + h) - dist.cdf(spec, x - h)) / (2.0 * h)
-    pdf = dist.density(spec, x)
+    fd = (spec.cdf(x + h) - spec.cdf(x - h)) / (2.0 * h)
+    pdf = spec.pdf(x)
     assert np.max(np.abs(fd - pdf)) < 1e-6
 
 
 def test_tail_quantile_matches_quantile():
     for spec in CONTINUOUS:
         for w in (0.3, 0.05, 0.001):
-            a, b = spec.tail_quantile(w), dist.quantile(spec, 1.0 - w)
+            a, b = spec.tail_quantile(w), spec.quantile(1.0 - w)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
@@ -258,11 +260,11 @@ def test_quantile_against_bisection(spec):
         lo, hi = -1e6, 1e6
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if dist.cdf(spec, mid) >= u:
+            if spec.cdf(mid) >= u:
                 hi = mid
             else:
                 lo = mid
-        assert dist.quantile(spec, u) == pytest.approx(hi, abs=1e-9)
+        assert spec.quantile(u) == pytest.approx(hi, abs=1e-9)
 
 
 # --- JSON -----------------------------------------------------------------------
@@ -277,6 +279,12 @@ def test_json_roundtrip():
         dist.spec_from_json({"family": "cauchy", "params": {}})
     with pytest.raises(ParameterError, match="params"):
         dist.spec_from_json({"family": "pareto", "params": {"x0": 1.0, "shape": 2.0}})
+    with pytest.raises(ParameterError, match="unknown field.*'parms'"):
+        dist.spec_from_json({"family": "pareto", "parms": {"x0": 1.0, "lam": 2.0}})
+    with pytest.raises(ParameterError, match="unknown field.*'dist'"):
+        dist.process_from_json({"kind": "ar1", "rho": 0.5, "dist": dist.spec_to_json(dist.Normal())})
+    with pytest.raises(ParameterError, match="unknown field.*'rho'"):
+        dist.process_from_json({"kind": "iid", "dist": dist.spec_to_json(dist.Normal()), "rho": 0.5})
 
 
 @pytest.mark.parametrize("nu", [1.05, 2.2, 2.5, 5.0, 30.0])

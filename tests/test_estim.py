@@ -458,10 +458,22 @@ def test_estimator_config_roundtrip_and_eval():
         assert batch[0] == pytest.approx(cfg.evaluate(x, 0.1), rel=1e-12)
     with pytest.raises(ParameterError, match="kind"):
         estim.EstimatorConfig("winsorized")
-    for c in (0.0, -0.5, math.nan):
+    for c in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ParameterError, match="trim_c"):
             estim.EstimatorConfig("trimmed", trim_c=c)
         with pytest.raises(ParameterError, match="trim_c"):
             estim.trimmed_es(x, 0.1, c=c)
+    for exponent in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="trim_exp"):
+            estim.EstimatorConfig("trimmed", trim_exponent=exponent)
+        with pytest.raises(ParameterError, match="trim_exp"):
+            estim.trimmed_es(x, 0.1, exponent=exponent)
+    for c, exponent in ((1e308, 1.0 / 3.0), (0.25, 1e10)):  # finite, but c * N**exponent overflows
+        with pytest.raises(ParameterError, match="whole sample"):
+            estim.trimmed_es(x, 0.1, c=c, exponent=exponent)
     with pytest.raises(ParameterError, match="unknown field"):
         estim.EstimatorConfig.from_json({"kind": "plugin", "bogus": 1})
+    with pytest.raises(ParameterError, match=r"unknown field\(s\) \['beta1', 'm'\]"):
+        estim.EstimatorConfig.from_json({"kind": "plugin", "m": -5, "beta1": 7})
+    with pytest.raises(ParameterError, match="unknown field.*'trim_c'"):
+        estim.EstimatorConfig.from_json({"kind": "median_of_blocks", "m": 50, "trim_c": 1})

@@ -179,6 +179,8 @@ def test_experiment_spec_validation_and_json():
     spec = _constant_spec(corruption=corrupt.MaxShiftGaussian(3, 5.0, 250.0))
     again = mc.ExperimentSpec.from_json(spec.to_json())
     assert again == spec
+    with pytest.raises(ParameterError, match="unknown field.*'corruptoin'"):
+        mc.ExperimentSpec.from_json(dict(spec.to_json(), corruptoin={"kind": "none"}))
 
 
 # --- golden streams ----------------------------------------------------------------
