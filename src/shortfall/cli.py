@@ -29,16 +29,14 @@ import numpy as np
 from . import estim, mc, report
 from .corrupt import MaxShiftGaussian, NoCorruption, model_to_json
 from .dist import AR1, IID
-from .errors import InfiniteShortfallError, ParameterError, ShortfallError, check_fields
+from .errors import InfiniteShortfallError, ShortfallError, check_alpha, check_fields, integer
 from .estim import EstimatorConfig, truncated_es_interval
-from .functionals import check_alpha, table1_rows
+from .functionals import table1_rows
 
 CONFIG_VERSION = 1
 
-
-def _fail(message: str) -> "SystemExit":
-    print(f"error: {message}", file=sys.stderr)
-    return SystemExit(2)
+ESTIMATOR_FLAGS = {"m": int, "beta1": float, "beta2": float, "gap": int,
+                   "trim_c": float, "trim_exp": float}
 
 
 def _read_data_file(path: str) -> np.ndarray:
@@ -46,7 +44,7 @@ def _read_data_file(path: str) -> np.ndarray:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}")
+        raise ShortfallError(f"cannot read {path}: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -54,16 +52,16 @@ def _read_data_file(path: str) -> np.ndarray:
         try:
             values.append(float(line))
         except ValueError:
-            raise _fail(f"{path}: line {lineno}: could not parse {line!r} as a number")
+            raise ShortfallError(f"{path}: line {lineno}: could not parse {line!r} as a number")
     if not values:
-        raise _fail(f"{path}: no data values found")
+        raise ShortfallError(f"{path}: no data values found")
     return np.array(values)
 
 
 def cmd_estimate(args) -> int:
     data = _read_data_file(args.data_file)
-    est = EstimatorConfig(kind=args.kind, m=args.m, beta1=args.beta1, beta2=args.beta2,
-                          gap=args.gap, trim_c=args.trim_c, trim_exponent=args.trim_exp)
+    given = {key: getattr(args, key) for key in ESTIMATOR_FLAGS if getattr(args, key) is not None}
+    est = EstimatorConfig.from_json({"kind": args.kind, **given})
     if est.kind == "truncated":
         value, lower, upper = truncated_es_interval(
             data, args.alpha, est.m, est.beta1, est.beta2, est.gap
@@ -78,9 +76,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_table1(args) -> int:
     try:
-        alphas = [check_alpha(a) for a in args.alphas.split(",") if a.strip()]
+        alphas = [check_alpha(float(a)) for a in args.alphas.split(",") if a.strip()]
     except ValueError as exc:
-        raise _fail(f"--alphas: {exc}")
+        raise ShortfallError(f"--alphas: {exc}")
     rows = table1_rows(alphas)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -97,20 +95,20 @@ def _load_config(path: str) -> tuple[dict, mc.ExperimentSpec]:
     try:
         cfg = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}")
+        raise ShortfallError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path}: invalid JSON: {exc}")
+        raise ShortfallError(f"{path}: invalid JSON: {exc}")
     if not isinstance(cfg, dict) or cfg.get("version") != CONFIG_VERSION:
-        raise _fail(f"{path}: expected \"version\": {CONFIG_VERSION}")
+        raise ShortfallError(f"{path}: expected \"version\": {CONFIG_VERSION}")
     try:  # the spec fields, less the keys this front end reads itself
         return cfg, mc.ExperimentSpec.from_json(
             {k: v for k, v in cfg.items() if k not in ("version", "oracle")})
-    except KeyError as exc:
-        raise _fail(f"config: missing field {exc.args[0]!r}")
     except InfiniteShortfallError:  # the process, not a field, is at fault: main reports it
         raise
-    except (ParameterError, TypeError, ValueError) as exc:
-        raise _fail(f"config: {exc}")
+    except KeyError as exc:
+        raise ShortfallError(f"config: missing field {exc.args[0]!r}")
+    except (TypeError, ValueError) as exc:
+        raise ShortfallError(f"config: {exc}")
 
 
 def _file_tag(spec: mc.ExperimentSpec, index: int) -> str:
@@ -158,7 +156,7 @@ def _histogram_n(args, spec: mc.ExperimentSpec) -> int:
     """The sample size of a histogram command, after checking --n and --bins."""
     n = args.n if args.n else spec.sample_sizes[-1]
     if n not in spec.sample_sizes:
-        raise _fail(f"--n {n} is not one of the config sample_sizes {list(spec.sample_sizes)}")
+        raise ShortfallError(f"--n {n} is not one of the config sample_sizes {list(spec.sample_sizes)}")
     mc.check_bins(args.bins)
     return n
 
@@ -201,10 +199,8 @@ def _oracle_size(cfg: dict) -> tuple[int, int]:
     """The checked (block_size, blocks) of a mixing config's long-run variance oracle."""
     oracle = cfg.get("oracle", {})
     check_fields(oracle, ("block_size", "blocks"), "oracle")
-    try:
-        sizes = int(oracle.get("block_size", 10_000)), int(oracle.get("blocks", 200))
-    except (TypeError, ValueError) as exc:
-        raise _fail(f"config: oracle: {exc}")
+    sizes = (integer(oracle.get("block_size", 10_000), "config: oracle: block_size"),
+             integer(oracle.get("blocks", 200), "config: oracle: blocks"))
     mc.check_oracle_size(*sizes)
     return sizes
 
@@ -212,7 +208,7 @@ def _oracle_size(cfg: dict) -> tuple[int, int]:
 def cmd_mixing(args) -> int:
     cfg, spec = _load_config(args.config)
     if not isinstance(spec.process, AR1):
-        raise _fail("config: the mixing command expects an \"ar1\" process")
+        raise ShortfallError("config: the mixing command expects an \"ar1\" process")
     block_size, blocks = _oracle_size(cfg)
     out = _prepare_out(args, cfg)
     curves = mc.deviation_curves(spec, workers=args.workers)
@@ -253,12 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("data_file")
     est.add_argument("--alpha", type=float, required=True)
     est.add_argument("--kind", default="plugin", choices=estim.KINDS)
-    est.add_argument("--m", type=int, default=estim.DEFAULT_M)
-    est.add_argument("--beta1", type=float, default=estim.DEFAULT_BETA1)
-    est.add_argument("--beta2", type=float, default=estim.DEFAULT_BETA2)
-    est.add_argument("--gap", type=int, default=0)
-    est.add_argument("--trim-c", type=float, default=estim.DEFAULT_TRIM_C)
-    est.add_argument("--trim-exp", type=float, default=estim.DEFAULT_TRIM_EXPONENT)
+    for key, kind in ESTIMATOR_FLAGS.items():  # an unset flag keeps the estimator's default
+        est.add_argument("--" + key.replace("_", "-"), type=kind)
     est.set_defaults(fn=cmd_estimate)
 
     tab = subs.add_parser("table1", help="D(alpha) and sigma_ES over the catalog")
@@ -289,8 +281,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except ShortfallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

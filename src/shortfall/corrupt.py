@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import rng
-from .errors import ParameterError, check_fields, json_object
+from .errors import ParameterError, check_fields, integer, json_object, number
 
 __all__ = [
     "NoCorruption",
@@ -80,7 +80,7 @@ class ReplaceIndices:
     value: float
 
     def __post_init__(self):
-        idx = frozenset(int(i) for i in self.indices)
+        idx = frozenset(integer(i, "indices") for i in self.indices)
         if any(i < 1 for i in idx):
             raise ParameterError("indices: must be 1-based (>= 1)")
         object.__setattr__(self, "indices", idx)
@@ -165,11 +165,12 @@ def model_from_json(obj: dict | None) -> CorruptionModel:
         return NoCorruption()
     if kind == "max_shift_gaussian":
         check_fields(obj, ("kind", "k", "mu", "sigma"), "max_shift_gaussian corruption")
-        return MaxShiftGaussian(int(obj["k"]), float(obj["mu"]), float(obj["sigma"]))
+        return MaxShiftGaussian(integer(obj["k"], "k"), number(obj["mu"], "mu"),
+                                number(obj["sigma"], "sigma"))
     if kind == "replace_largest":
         check_fields(obj, ("kind", "k", "value"), "replace_largest corruption")
-        return ReplaceLargest(int(obj["k"]), float(obj["value"]))
+        return ReplaceLargest(integer(obj["k"], "k"), number(obj["value"], "value"))
     if kind == "replace_indices":
         check_fields(obj, ("kind", "indices", "value"), "replace_indices corruption")
-        return ReplaceIndices(frozenset(int(i) for i in obj["indices"]), float(obj["value"]))
+        return ReplaceIndices(obj["indices"], number(obj["value"], "value"))
     raise ParameterError(f"kind: unknown corruption model {kind!r}")

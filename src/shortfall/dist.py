@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import rng
-from .errors import NoDensityError, ParameterError, check_fields, json_object
+from .errors import NoDensityError, ParameterError, check_fields, json_object, number
 
 __all__ = [
     "Normal",
@@ -477,7 +477,7 @@ def spec_from_json(obj: dict) -> DistributionSpec:
         raise ParameterError(f"family: unknown distribution {obj.get('family')!r}") from exc
     params = obj.get("params", {})
     check_fields(params, [f.name for f in fields(cls)], f"{obj['family']} params")
-    return cls(**{k: float(v) for k, v in params.items()})
+    return cls(**{k: number(v, k) for k, v in params.items()})
 
 
 def process_to_json(process: ProcessSpec) -> dict:
@@ -493,5 +493,5 @@ def process_from_json(obj: dict) -> ProcessSpec:
         return IID(spec_from_json(obj["dist"]))
     if kind == "ar1":
         check_fields(obj, ("kind", "rho"), "ar1 process")
-        return AR1(float(obj["rho"]))
+        return AR1(number(obj["rho"], "rho"))
     raise ParameterError(f"kind: unknown process {kind!r}")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the checks its JSON readers share."""
+"""Exception types shared across the package, and the checks its input readers share."""
+
+import numbers
 
 
 class ShortfallError(Exception):
@@ -33,3 +35,27 @@ def check_fields(obj, known, where: str) -> None:
     unknown = sorted(set(json_object(obj, where)) - set(known))
     if unknown:
         raise ParameterError(f"{where}: unknown field(s) {unknown}")
+
+
+def number(value, where: str) -> float:
+    """``value`` as a float, never from a bool or a string; inf and NaN pass on to range checks."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{where}: must be a number (got {value!r})")
+    return float(value)
+
+
+def integer(value, where: str) -> int:
+    """``value`` as an int: a whole number, which JSON may write as a float (``1e5``)."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ParameterError(f"{where}: must be an integer (got {value!r})")
+    return int(value)
+
+
+def check_alpha(alpha) -> float:
+    """Validate the risk level: 0 < alpha < 1/2."""
+    alpha = number(alpha, "alpha")
+    if not 0.0 < alpha < 0.5:
+        raise ParameterError(f"alpha: must lie in (0, 1/2) (got {alpha})")
+    return alpha

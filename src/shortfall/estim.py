@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_fields, json_object
-from .functionals import check_alpha
+from .errors import ParameterError, check_alpha, check_fields, integer, json_object, number
 
 __all__ = [
     "EstimatorConfig",
@@ -369,17 +368,16 @@ class EstimatorConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
+        """Read exactly the fields that ``to_json`` writes for the object's kind."""
         kind = json_object(obj, "estimator").get("kind", "")
-        check_fields(obj, cls(kind).to_json(), f"{kind} estimator")  # the fields its kind reads
-        return cls(
-            kind=kind,
-            m=int(obj.get("m", DEFAULT_M)),
-            beta1=float(obj.get("beta1", DEFAULT_BETA1)),
-            beta2=float(obj.get("beta2", DEFAULT_BETA2)),
-            gap=int(obj.get("gap", 0)),
-            trim_c=float(obj.get("trim_c", DEFAULT_TRIM_C)),
-            trim_exponent=float(obj.get("trim_exp", DEFAULT_TRIM_EXPONENT)),
-        )
+        written = cls(kind).to_json()  # at their defaults: an int default takes an integer
+        check_fields(obj, written, f"{kind} estimator")
+        given = {}
+        for key, default in written.items():
+            if key != "kind" and key in obj:
+                rule = integer if isinstance(default, int) else number
+                given["trim_exponent" if key == "trim_exp" else key] = rule(obj[key], key)
+        return cls(kind, **given)
 
 
 def evaluate_many(estimators, samples, alpha: float) -> list[np.ndarray]:

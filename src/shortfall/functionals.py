@@ -37,11 +37,10 @@ from .dist import (
     StudentT,
     spec_to_json,
 )
-from .errors import InfiniteShortfallError, ParameterError, QuadratureError
+from .errors import InfiniteShortfallError, ParameterError, QuadratureError, check_alpha
 
 __all__ = [
     "VarianceResult",
-    "check_alpha",
     "es_exact",
     "es_by_quadrature",
     "es_by_distortion",
@@ -54,13 +53,9 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-
-def check_alpha(alpha: float) -> float:
-    """Validate the risk level: 0 < alpha < 1/2."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 0.5:
-        raise ParameterError(f"alpha: must lie in (0, 1/2) (got {alpha})")
-    return alpha
+_ES_TOL = 1e-10  # absolute, of the two quadrature ES routes
+_SIGMA_TOL = 1e-6  # relative, of sigma_es
+_L_REL_TOL = 1e-6  # the relative agreement that ends the refinement of lipschitz_L
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,7 @@ def es_exact(spec: DistributionSpec, alpha: float) -> float:
     """Expected shortfall ES_alpha, by closed form where one is known.
 
     Families without a closed form (Student-t, Logistic) delegate to
-    :func:`es_by_quadrature` at tolerance 1e-10.
+    :func:`es_by_quadrature`.
     """
     alpha = check_alpha(alpha)
     _require_finite_es(spec)
@@ -134,7 +129,7 @@ def es_exact(spec: DistributionSpec, alpha: float) -> float:
         if alpha <= am + dm:
             return spec.x0 * (alpha - am) ** 2 / (2.0 * alpha * dm)
         return spec.x0 * ((alpha - am - dm) + 0.5 * dm) / alpha
-    return es_by_quadrature(spec, alpha, tol=1e-10)
+    return es_by_quadrature(spec, alpha)
 
 
 _GAUSS_LOW = sp.roots_legendre(10)
@@ -225,25 +220,25 @@ def _tail_moment(spec: DistributionSpec, alpha: float, tol: float,
     return _adaptive_gauss(integrand, 0.0, 1.0, tol) + flat / (_tail_index(spec) / p - 1.0)
 
 
-def es_by_quadrature(spec: DistributionSpec, alpha: float, tol: float = 1e-10) -> float:
-    """ES_alpha as (1/alpha) * integral of VaR_u over (1-alpha, 1).
+def es_by_quadrature(spec: DistributionSpec, alpha: float) -> float:
+    """ES_alpha as (1/alpha) * integral of VaR_u over (1-alpha, 1), to 1e-10 absolute.
 
     This is the first tail moment of :func:`_tail_moment`, whose substitution
     u = 1 - alpha*s**kappa concentrates nodes at the u -> 1 singularity.
     """
     alpha = check_alpha(alpha)
     _require_finite_es(spec)
-    return _tail_moment(spec, alpha, tol)
+    return _tail_moment(spec, alpha, _ES_TOL)
 
 
-def es_by_distortion(spec: DistributionSpec, alpha: float, tol: float = 1e-10) -> float:
+def es_by_distortion(spec: DistributionSpec, alpha: float) -> float:
     """ES_alpha = q + (1/alpha) * integral of 1 - F(t) over t > q, q = VaR_alpha.
 
     The integrand calls only ``cdf``; the quantile function places q and
     top = F^{-1}(1 - alpha*max(1e4**-lam, 1e-14)), lam the tail index.  Beyond
     top, where 1 - F is lost to rounding, the power tail adds
-    top*(1 - F(top))/(lam - 1) in closed form (0 for lighter tails).  ``tol``
-    is relative to alpha*max(1, |q|), the absolute error bound of the integral.
+    top*(1 - F(top))/(lam - 1) in closed form (0 for lighter tails).  The
+    integral's absolute tolerance is 1e-10 * alpha*max(1, |q|).
     """
     alpha = check_alpha(alpha)
     _require_finite_es(spec)
@@ -254,7 +249,7 @@ def es_by_distortion(spec: DistributionSpec, alpha: float, tol: float = 1e-10) -
     def survival(t):
         return 1.0 - spec.cdf(t)
 
-    body = _adaptive_gauss(survival, q, top, tol * alpha * max(1.0, abs(q)))
+    body = _adaptive_gauss(survival, q, top, _ES_TOL * alpha * max(1.0, abs(q)))
     tail = top * survival(top) / (lam - 1.0)
     return q + (body + tail) / alpha
 
@@ -262,14 +257,14 @@ def es_by_distortion(spec: DistributionSpec, alpha: float, tol: float = 1e-10) -
 # --- asymptotic variance -----------------------------------------------------
 
 
-def sigma_es(spec: DistributionSpec, alpha: float, tol: float = 1e-6) -> VarianceResult:
+def sigma_es(spec: DistributionSpec, alpha: float) -> VarianceResult:
     """Asymptotic standard deviation sigma_ES of the plug-in estimator.
 
     sigma^2 = Var((X - q)^+)/alpha^2 = m2/alpha - m1^2, where q is the
     (1-alpha)-quantile and m_p the conditional p-th moment of the excess
     e(w) = F^{-1}(1-w) - q over the upper-alpha tail, both from
-    :func:`_tail_moment`.  ``tol`` is a relative tolerance on sigma.  Since e
-    is non-increasing, m2 >= w*e(w)^2/alpha for any w < alpha and
+    :func:`_tail_moment`, to a relative tolerance tol = 1e-6 on sigma.  Since
+    e is non-increasing, m2 >= w*e(w)^2/alpha for any w < alpha and
     sigma^2 >= (1-alpha)*m2/alpha >= m1^2*(1-alpha)/alpha; the largest such
     lower bound over w = alpha/2, ..., alpha/1024 sets absolute tolerances
     that keep each moment's share of the error on sigma^2 below tol/2 of it.
@@ -288,8 +283,8 @@ def sigma_es(spec: DistributionSpec, alpha: float, tol: float = 1e-6) -> Varianc
     q = spec.tail_quantile(alpha)
     w = alpha * 0.5 ** np.arange(1, 11)
     floor = (1.0 - alpha) * float(np.max(w * (spec.tail_quantile(w) - q) ** 2)) / alpha**2
-    tol1 = 0.25 * tol * math.sqrt(floor * (1.0 - alpha) / alpha)
-    tol2 = 0.5 * tol * floor * alpha
+    tol1 = 0.25 * _SIGMA_TOL * math.sqrt(floor * (1.0 - alpha) / alpha)
+    tol2 = 0.5 * _SIGMA_TOL * floor * alpha
     m1 = _tail_moment(spec, alpha, tol1, 1, q)
     m2 = _tail_moment(spec, alpha, tol2, 2, q)
     var = m2 / alpha - m1 * m1
@@ -304,8 +299,9 @@ def sigma_es(spec: DistributionSpec, alpha: float, tol: float = 1e-6) -> Varianc
 
 
 def _quantile_slope(spec: DistributionSpec, w):
-    """d/du F^{-1}(u) at u = 1 - w, i.e. 1/f(F^{-1}(1-w)); vectorized in w."""
-    return 1.0 / spec.pdf(spec.tail_quantile(w))
+    """d/du F^{-1}(u) at u = 1 - w, i.e. 1/f(F^{-1}(1-w)); vectorized in w, inf where f is 0."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.asarray(spec.pdf(spec.tail_quantile(w)))
 
 
 def lipschitz_D(spec: DistributionSpec, alpha: float) -> float:
@@ -319,11 +315,11 @@ def lipschitz_D(spec: DistributionSpec, alpha: float) -> float:
     return value
 
 
-def lipschitz_L(spec: DistributionSpec, alpha: float, rel_tol: float = 1e-6) -> float:
+def lipschitz_L(spec: DistributionSpec, alpha: float) -> float:
     """max of D(beta) over beta in [alpha/2, 2*alpha].
 
     Evaluated on a 129-point grid, refined around the maximizer until two
-    successive refinements agree to ``rel_tol`` relative.
+    successive refinements agree to 1e-6 relative.
     """
     alpha = check_alpha(alpha)  # alpha < 1/2 keeps [alpha/2, 2*alpha] inside (0, 1)
     lo, hi = 0.5 * alpha, 2.0 * alpha
@@ -335,7 +331,7 @@ def lipschitz_L(spec: DistributionSpec, alpha: float, rel_tol: float = 1e-6) -> 
             raise ParameterError("alpha: density vanishes on the L-range (L undefined)")
         i = int(np.argmax(vals))
         new_best = float(vals[i])
-        done = best > 0 and abs(new_best - best) <= rel_tol * abs(new_best)
+        done = best > 0 and abs(new_best - best) <= _L_REL_TOL * abs(new_best)
         best = max(best, new_best)
         if done:
             break

@@ -28,9 +28,8 @@ import numpy as np
 from . import estim, functionals, rng
 from .corrupt import CorruptionModel, NoCorruption, apply_corruption_batch, model_from_json, model_to_json
 from .dist import AR1, IID, ProcessSpec, ar1_paths, process_from_json, process_to_json, sample_matrix
-from .errors import ParameterError, check_fields
+from .errors import ParameterError, check_alpha, check_fields, integer, number
 from .estim import EstimatorConfig
-from .functionals import check_alpha
 
 __all__ = [
     "ExperimentSpec",
@@ -80,11 +79,11 @@ class ExperimentSpec:
         estimators = tuple(self.estimators)
         if not estimators:
             raise ParameterError("estimators: need at least one estimator")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ParameterError(f"delta: must be > 0 (got {self.delta})")
         if self.trials < 1:
             raise ParameterError(f"trials: must be >= 1 (got {self.trials})")
-        sizes = tuple(int(n) for n in self.sample_sizes)
+        sizes = tuple(integer(n, "sample_sizes") for n in self.sample_sizes)
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
             raise ParameterError("sample_sizes: need a nonempty, strictly increasing list of N >= 1")
         for n in sizes:
@@ -120,11 +119,11 @@ class ExperimentSpec:
             estimators=tuple(EstimatorConfig.from_json(e) for e in obj["estimators"]),
             alpha=alpha,
             sample_sizes=tuple(obj["sample_sizes"]),
-            delta=float(obj["delta"]),
-            trials=int(obj["trials"]),
-            master_seed=int(obj["master_seed"]),
+            delta=number(obj["delta"], "delta"),
+            trials=integer(obj["trials"], "trials"),
+            master_seed=integer(obj["master_seed"], "master_seed"),
             corruption=model_from_json(obj.get("corruption")),
-            truth=float(truth),
+            truth=number(truth, "truth"),
         )
 
 
@@ -259,7 +258,7 @@ def deviation_probability(estimates, truth: float, delta: float) -> tuple[float,
     est = np.asarray(estimates, dtype=np.float64)
     if est.size == 0:
         raise ParameterError("estimates: must be nonempty")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ParameterError(f"delta: must be > 0 (got {delta})")
     count = int(np.count_nonzero(np.abs(est - truth) >= delta))
     p_hat = count / est.size

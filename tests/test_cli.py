@@ -43,6 +43,10 @@ def test_estimate_constant(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "estimate", str(data), "--alpha", "0.1")
     assert code == 0
     assert "estimate: 5.000000" in out
+    data.write_text("\n5.0\n\n  \n5.0\n")  # blank lines are skipped
+    code, out, _ = run_cli(capsys, "estimate", str(data), "--alpha", "0.1")
+    assert code == 0
+    assert "estimate: 5.000000" in out
 
 
 def test_estimate_fractional(tmp_path, capsys):
@@ -92,6 +96,26 @@ def test_estimate_parse_error_reports_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", str(data), "--alpha", "0.1")
     assert code == 2
     assert "line 2" in err
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n \n")
+    for path, message in ((tmp_path / "missing.txt", "cannot read"), (blank, "no data values found")):
+        code, _, err = run_cli(capsys, "estimate", str(path), "--alpha", "0.1")
+        assert code == 2 and message in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--kind", "plugin", "--m", "5"], "plugin estimator: unknown field(s) ['m']"),
+    (["--kind", "trimmed", "--beta1", "0.9"], "trimmed estimator: unknown field(s) ['beta1']"),
+    (["--kind", "median_of_blocks", "--m", "2", "--trim-c", "7"],
+     "median_of_blocks estimator: unknown field(s) ['trim_c']"),
+])
+def test_estimate_rejects_flags_its_kind_does_not_read(tmp_path, capsys, flags, field):
+    data = tmp_path / "data.txt"
+    data.write_text("".join(f"{i}\n" for i in range(1, 11)))
+    code, out, err = run_cli(capsys, "estimate", str(data), "--alpha", "0.1", *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {field}\n"
 
 
 # --- table1 ----------------------------------------------------------------------
@@ -157,6 +181,12 @@ def test_curve_bad_config(tmp_path, capsys, trivial_config):
         code, _, err = run_cli(capsys, "curve", "--config", str(bad),
                                "--out", str(tmp_path / "o"))
         assert code == 2 and "version" in err
+    bad.write_text("{not json")
+    code, _, err = run_cli(capsys, "curve", "--config", str(bad), "--out", str(tmp_path / "o"))
+    assert code == 2 and "invalid JSON" in err and len(err.splitlines()) == 1
+    code, _, err = run_cli(capsys, "curve", "--config", str(tmp_path / "none.json"),
+                           "--out", str(tmp_path / "o"))
+    assert code == 2 and "cannot read" in err and len(err.splitlines()) == 1
     bad.write_text(json.dumps({"version": 1, "alpha": 0.1}))
     code, _, err = run_cli(capsys, "curve", "--config", str(bad),
                            "--out", str(tmp_path / "o"))
@@ -214,6 +244,22 @@ def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_co
     ("mixing", [], {"oracle": {"blocks": 200, "block_sise": 10_000}}, "'block_sise'"),
     ("curve", [], {"estimators": ["plugin"]}, "estimator: expected an object"),
     ("curve", [], {"process": ["iid"]}, "process: expected an object"),
+    # counts, sizes and seeds are whole numbers (1e5 is one); no strings or booleans
+    ("curve", [], {"sample_sizes": [1250.7]}, "config: sample_sizes: must be an integer (got 1250.7)"),
+    ("curve", [], {"trials": True}, "config: trials: must be an integer (got True)"),
+    ("curve", [], {"trials": 250.5}, "config: trials: must be an integer (got 250.5)"),
+    ("curve", [], {"master_seed": 7.5}, "config: master_seed: must be an integer (got 7.5)"),
+    ("curve", [], {"estimators": [{"kind": "truncated", "m": 5.5}]},
+     "config: m: must be an integer (got 5.5)"),
+    ("curve", [], {"corruption": {"kind": "replace_largest", "k": 1.5, "value": 1e6}},
+     "config: k: must be an integer (got 1.5)"),
+    ("curve", [], {"trials": "20"}, "config: trials: must be an integer (got '20')"),
+    ("curve", [], {"alpha": "0.1"}, "config: alpha: must be a number (got '0.1')"),
+    ("curve", [], {"corruption": {"kind": "max_shift_gaussian", "k": 3, "mu": "5", "sigma": 250.0}},
+     "config: mu: must be a number (got '5')"),
+    ("curve", [], {"delta": math.nan}, "config: delta: must be > 0 (got nan)"),
+    ("mixing", [], {"oracle": {"block_size": 2000.5}},
+     "config: oracle: block_size: must be an integer (got 2000.5)"),
 ])
 def test_bad_argument_before_output(tmp_path, capsys, trivial_config,
                                     command, flags, overrides, message):
@@ -373,6 +419,15 @@ def test_format_number():
     assert report.format_number(float("inf")) == "inf"
     assert report.format_number(3.0) == "3"
     assert report.format_number(0.013637) == "0.013637"
+
+
+def test_curve_svg_draws_nonzero_points():
+    curve = DeviationCurve(1.0, 100, (CurvePoint(10, 0.25, 0.04, 25, 0.5),
+                                      CurvePoint(20, 0.0, 0.0, 0, 0.1),
+                                      CurvePoint(40, 0.01, 0.01, 1, 0.05)))
+    svg = report.curve_svg([("plugin", curve)])
+    assert svg.count("<polyline") == 1 and svg.count("<circle") == 2  # p_hat = 0 has no log
+    assert ">plugin</text>" in svg
 
 
 def test_csv_writers_shapes():

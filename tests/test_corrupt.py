@@ -66,6 +66,18 @@ def test_k_larger_than_n_rejected():
         corrupt.apply_corruption(np.arange(3.0), corrupt.ReplaceLargest(5, 0.0), 0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: corrupt.MaxShiftGaussian(-1, 0.0, 1.0), "k: must be >= 0"),
+    (lambda: corrupt.MaxShiftGaussian(1, 0.0, 0.0), "sigma: must be > 0"),
+    (lambda: corrupt.ReplaceLargest(-1, 0.0), "k: must be >= 0"),
+    (lambda: corrupt.ReplaceIndices(frozenset({1.5}), 1.0), r"indices: must be an integer \(got 1.5\)"),
+    (lambda: corrupt.apply_corruption(np.arange(3.0), object(), 0), "unknown corruption model object"),
+], ids=["max_shift_k", "max_shift_sigma", "replace_largest_k", "fractional_index", "unknown_model"])
+def test_invalid_model_names_field(make, message):
+    with pytest.raises(ParameterError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("model", [
     corrupt.NoCorruption(),
     corrupt.MaxShiftGaussian(k=4, mu=2.0, sigma=50.0),
@@ -97,6 +109,8 @@ def test_budget_values():
     assert corrupt.corruption_budget(100, 0.1) == 0
     with pytest.raises(ParameterError, match="eps"):
         corrupt.corruption_budget(100, 0.0)
+    with pytest.raises(ParameterError, match="N: must be >= 0"):
+        corrupt.corruption_budget(-1, 0.5)
 
 
 def test_json_roundtrip():
@@ -111,6 +125,13 @@ def test_json_roundtrip():
     assert corrupt.model_from_json(None) == corrupt.NoCorruption()
     with pytest.raises(ParameterError, match="kind"):
         corrupt.model_from_json({"kind": "flip_sign"})
+    for bad, message in (({"kind": "replace_largest", "k": 1.5, "value": 0.0}, "k: must be an integer"),
+                         ({"kind": "max_shift_gaussian", "k": 3, "mu": "5", "sigma": 1.0},
+                          "mu: must be a number"),
+                         ({"kind": "replace_indices", "indices": [True], "value": 0.0},
+                          "indices: must be an integer")):
+        with pytest.raises(ParameterError, match=message):
+            corrupt.model_from_json(bad)
     for bad in ({"kind": "none", "k": 5},
                 {"kind": "replace_largest", "k": 2, "value": 0.0, "sigma": 1.0}):
         with pytest.raises(ParameterError, match="unknown field.*'(k|sigma)'"):

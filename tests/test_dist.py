@@ -37,6 +37,7 @@ def test_bernoulli_cdf_quantile():
     assert sb.quantile(0.96) == 1.0
     assert sb.quantile(0.95) == 0.0
     assert sb.quantile(0.5) == 0.0
+    assert dist.ScaledBernoulli(1.0, 2.5).tail_quantile(1.0) == 2.5  # p = 1: the atom at x only
 
 
 def test_quantile_values():
@@ -285,6 +286,12 @@ def test_json_roundtrip():
         dist.process_from_json({"kind": "ar1", "rho": 0.5, "dist": dist.spec_to_json(dist.Normal())})
     with pytest.raises(ParameterError, match="unknown field.*'rho'"):
         dist.process_from_json({"kind": "iid", "dist": dist.spec_to_json(dist.Normal()), "rho": 0.5})
+    with pytest.raises(ParameterError, match="unknown process 'garch'"):
+        dist.process_from_json({"kind": "garch"})
+    with pytest.raises(ParameterError, match=r"lam: must be a number \(got '2'\)"):
+        dist.spec_from_json({"family": "pareto", "params": {"x0": 1.0, "lam": "2"}})
+    with pytest.raises(ParameterError, match="rho: must be a number"):
+        dist.process_from_json({"kind": "ar1", "rho": True})
 
 
 @pytest.mark.parametrize("nu", [1.05, 2.2, 2.5, 5.0, 30.0])

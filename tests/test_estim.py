@@ -65,6 +65,9 @@ def test_plugin_empty_rejected():
         estim.plugin_es([], 0.1)
     with pytest.raises(ParameterError, match="sample"):
         estim.plugin_es([math.nan, 1.0], 0.1)
+    for samples in (np.ones(5), np.ones((3, 0))):
+        with pytest.raises(ParameterError, match=r"samples: expected a \(trials, N\) matrix"):
+            estim.plugin_es_batch(samples, 0.1)
 
 
 # --- interpolated quantile ---------------------------------------------------------
@@ -130,6 +133,9 @@ def test_block_leftovers_dropped():
 def test_block_zero_blocks_rejected():
     with pytest.raises(ParameterError, match="m"):
         estim.block_estimates([1.0, 2.0], 0.1, m=5, gap=0)
+    for m, gap, message in ((0, 0, "m: block size must be >= 1"), (5, -1, "gap: must be >= 0")):
+        with pytest.raises(ParameterError, match=message):
+            estim.block_estimates([1.0, 2.0], 0.1, m=m, gap=gap)
 
 
 # --- truncated ---------------------------------------------------------------------
@@ -477,3 +483,14 @@ def test_estimator_config_roundtrip_and_eval():
         estim.EstimatorConfig.from_json({"kind": "plugin", "m": -5, "beta1": 7})
     with pytest.raises(ParameterError, match="unknown field.*'trim_c'"):
         estim.EstimatorConfig.from_json({"kind": "median_of_blocks", "m": 50, "trim_c": 1})
+    for field, value, rule in (("m", 50.5, "an integer"), ("m", True, "an integer"),
+                               ("gap", "2", "an integer"), ("beta1", "0.5", "a number"),
+                               ("beta2", False, "a number")):
+        with pytest.raises(ParameterError, match=f"{field}: must be {rule}"):
+            estim.EstimatorConfig.from_json({"kind": "truncated", field: value})
+    assert estim.EstimatorConfig.from_json({"kind": "truncated", "m": 50.0}).m == 50
+    for bad in ({"kind": "trimmed", "trim_c": "1"}, {"kind": "trimmed", "trim_exp": None}):
+        with pytest.raises(ParameterError, match="trim_(c|exp): must be a number"):
+            estim.EstimatorConfig.from_json(bad)
+    labels = [estim.EstimatorConfig("median_of_blocks", m=50, gap=g).label() for g in (0, 50)]
+    assert labels == ["median_of_blocks(m=50)", "median_of_blocks(m=50,gap=50)"]

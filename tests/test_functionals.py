@@ -214,6 +214,12 @@ def test_lipschitz_D_values():
 def test_lipschitz_D_atomic_raises():
     with pytest.raises(NoDensityError, match="no density"):
         fn.lipschitz_D(dist.ScaledBernoulli(0.05, 1.0), 0.1)
+    # the quantile overflows to inf, where the density is 0
+    for spec in (dist.Pareto(1.0, 1e-3), dist.Lognormal(0.0, 1000.0)):
+        with pytest.raises(ParameterError, match="density vanishes at the"):
+            fn.lipschitz_D(spec, 0.1)
+        with pytest.raises(ParameterError, match="density vanishes on the L-range"):
+            fn.lipschitz_L(spec, 0.1)
 
 
 def test_lipschitz_L_values():

@@ -52,6 +52,9 @@ def test_deviation_probability_boundary_inclusive():
 def test_deviation_probability_empty():
     with pytest.raises(ParameterError):
         mc.deviation_probability([], 0.0, 1.0)
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="delta: must be > 0"):
+            mc.deviation_probability([1.0], 0.0, delta)
 
 
 # --- trials ----------------------------------------------------------------------
@@ -157,6 +160,8 @@ def test_estimator_precondition_reported():
         mc.run_trials_multi(dist.IID(dist.Exponential(1.0)), truncated, 0.1, 20, 10, 7, workers=1)
     with pytest.raises(ParameterError, match="trials"):
         mc.run_trials_multi(dist.IID(dist.Exponential(1.0)), (), 0.1, 20, 0, 7, workers=1)
+    with pytest.raises(ParameterError, match="unknown process object"):
+        mc.draw_trial_samples(object(), 20, 7, 0, 1)
 
 
 def test_corruption_applied_per_trial():
@@ -172,13 +177,28 @@ def test_corruption_applied_per_trial():
 def test_experiment_spec_validation_and_json():
     with pytest.raises(ParameterError, match="sample_sizes"):
         _constant_spec(sample_sizes=(40, 20))
-    with pytest.raises(ParameterError, match="delta"):
-        _constant_spec(delta=0.0)
+    with pytest.raises(ParameterError, match=r"sample_sizes: must be an integer \(got 1250.7\)"):
+        _constant_spec(sample_sizes=(1250.7,))
+    for delta in (0.0, math.nan):
+        with pytest.raises(ParameterError, match="delta"):
+            _constant_spec(delta=delta)
     with pytest.raises(ParameterError, match="trials"):
         _constant_spec(trials=0)
+    with pytest.raises(ParameterError, match="estimators: need at least one"):
+        _constant_spec(estimators=())
     spec = _constant_spec(corruption=corrupt.MaxShiftGaussian(3, 5.0, 250.0))
     again = mc.ExperimentSpec.from_json(spec.to_json())
     assert again == spec
+    # JSON writes 1e5 as a float: a whole float is a count, and a seed may use all 64 bits
+    whole = mc.ExperimentSpec.from_json(dict(spec.to_json(), trials=1e5, sample_sizes=[3250.0],
+                                             master_seed=2**64 - 1))
+    assert (whole.trials, whole.sample_sizes, whole.master_seed) == (100_000, (3250,), 2**64 - 1)
+    assert all(type(v) is int for v in (whole.trials, *whole.sample_sizes, whole.master_seed))
+    for field, value, rule in (("trials", True, "an integer"), ("trials", 20.5, "an integer"),
+                               ("trials", "20", "an integer"), ("master_seed", 7.5, "an integer"),
+                               ("alpha", "0.1", "a number"), ("delta", None, "a number")):
+        with pytest.raises(ParameterError, match=f"{field}: must be {rule}"):
+            mc.ExperimentSpec.from_json(dict(spec.to_json(), **{field: value}))
     with pytest.raises(ParameterError, match="unknown field.*'corruptoin'"):
         mc.ExperimentSpec.from_json(dict(spec.to_json(), corruptoin={"kind": "none"}))
 
@@ -321,6 +341,8 @@ def test_histogram_invariants():
     assert h.bin_edges[0] == x.min() and h.bin_edges[-1] == x.max()
     with pytest.raises(ParameterError, match="bins"):
         mc.histogram(x, 0)
+    with pytest.raises(ParameterError, match="estimates: must be nonempty"):
+        mc.histogram([], 3)
 
 
 # --- long-run variance oracle --------------------------------------------------------
@@ -350,6 +372,8 @@ def test_longrun_oracle_ar1_exceeds_iid():
 def test_longrun_oracle_validation():
     with pytest.raises(ParameterError, match="blocks"):
         mc.longrun_sigma_oracle(dist.AR1(0.5), 0.1, 1000, 50, 0)
+    with pytest.raises(ParameterError, match="block_size: must be >= 2"):
+        mc.longrun_sigma_oracle(dist.AR1(0.5), 0.1, 1, 200, 0)
 
 
 def test_resolve_workers_env(monkeypatch):

@@ -21,6 +21,8 @@ def test_uniforms_open_interval(seed):
 def test_uniforms_start_offset():
     full = rng.uniforms(77, 50)
     assert np.array_equal(full[20:], rng.uniforms(77, 30, start=20))
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        rng.uniforms(77, -1)
 
 
 def test_uniform_matrix_matches_streams():
