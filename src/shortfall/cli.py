@@ -35,8 +35,7 @@ from .functionals import table1_rows
 
 CONFIG_VERSION = 1
 
-ESTIMATOR_FLAGS = {"m": int, "beta1": float, "beta2": float, "gap": int,
-                   "trim_c": float, "trim_exp": float}
+ESTIMATOR_FLAGS = ("m", "beta1", "beta2", "gap", "trim_c", "trim_exp")
 
 
 def _read_data_file(path: str) -> np.ndarray:
@@ -238,8 +237,13 @@ def _add_config_args(sub, bins: bool = False, n_flag: bool = False) -> None:
                          help="sample size to use (default: largest in config)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, a subcommand's too, is one `error:` line
+        raise ShortfallError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shortfall",
         description="Robust expected-shortfall estimation and Monte Carlo benchmarks",
     )
@@ -249,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("data_file")
     est.add_argument("--alpha", type=float, required=True)
     est.add_argument("--kind", default="plugin", choices=estim.KINDS)
-    for key, kind in ESTIMATOR_FLAGS.items():  # an unset flag keeps the estimator's default
-        est.add_argument("--" + key.replace("_", "-"), type=kind)
+    for key in ESTIMATOR_FLAGS:  # a number, as in JSON; an unset flag keeps the default
+        est.add_argument("--" + key.replace("_", "-"), type=float)
     est.set_defaults(fn=cmd_estimate)
 
     tab = subs.add_parser("table1", help="D(alpha) and sigma_ES over the catalog")
@@ -278,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ShortfallError as exc:
         print(f"error: {exc}", file=sys.stderr)

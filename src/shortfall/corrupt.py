@@ -12,14 +12,14 @@ from 1 to N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 from scipy import special as sp
 
 from . import rng
-from .errors import ParameterError, check_fields, integer, json_object, number
+from .errors import ParameterError, check_fields, checked_numbers, integer, json_object
 
 __all__ = [
     "NoCorruption",
@@ -45,6 +45,7 @@ class NoCorruption:
     k: ClassVar[int] = 0
 
 
+@checked_numbers
 @dataclass(frozen=True)
 class MaxShiftGaussian:
     """Replace X_i by max{X_i, U_i}, U_i ~ Normal(mu, sigma^2), for i = 1..k."""
@@ -60,6 +61,7 @@ class MaxShiftGaussian:
             raise ParameterError(f"sigma: must be > 0 (got {self.sigma})")
 
 
+@checked_numbers
 @dataclass(frozen=True)
 class ReplaceLargest:
     """Overwrite the k largest sample values with ``value``."""
@@ -72,6 +74,7 @@ class ReplaceLargest:
             raise ParameterError(f"k: must be >= 0 (got {self.k})")
 
 
+@checked_numbers
 @dataclass(frozen=True)
 class ReplaceIndices:
     """Overwrite the samples at the given 1-based indices with ``value``."""
@@ -146,31 +149,23 @@ def corruption_budget(n: int, eps: float) -> int:
 # --- JSON wire format ---------------------------------------------------------
 
 
+_MODEL_BY_KIND = {"none": NoCorruption, "max_shift_gaussian": MaxShiftGaussian,
+                  "replace_largest": ReplaceLargest, "replace_indices": ReplaceIndices}
+_KIND_BY_MODEL = {cls: kind for kind, cls in _MODEL_BY_KIND.items()}
+
+
 def model_to_json(model: CorruptionModel) -> dict:
-    if isinstance(model, NoCorruption):
-        return {"kind": "none"}
-    if isinstance(model, MaxShiftGaussian):
-        return {"kind": "max_shift_gaussian", "k": model.k, "mu": model.mu, "sigma": model.sigma}
-    if isinstance(model, ReplaceLargest):
-        return {"kind": "replace_largest", "k": model.k, "value": model.value}
-    return {"kind": "replace_indices", "indices": sorted(model.indices), "value": model.value}
+    out = {"kind": _KIND_BY_MODEL[type(model)], **asdict(model)}
+    if "indices" in out:
+        out["indices"] = sorted(out["indices"])
+    return out
 
 
 def model_from_json(obj: dict | None) -> CorruptionModel:
-    if obj is None:
-        return NoCorruption()
-    kind = json_object(obj, "corruption").get("kind", "none")
-    if kind == "none":
-        check_fields(obj, ("kind",), "none corruption")
-        return NoCorruption()
-    if kind == "max_shift_gaussian":
-        check_fields(obj, ("kind", "k", "mu", "sigma"), "max_shift_gaussian corruption")
-        return MaxShiftGaussian(integer(obj["k"], "k"), number(obj["mu"], "mu"),
-                                number(obj["sigma"], "sigma"))
-    if kind == "replace_largest":
-        check_fields(obj, ("kind", "k", "value"), "replace_largest corruption")
-        return ReplaceLargest(integer(obj["k"], "k"), number(obj["value"], "value"))
-    if kind == "replace_indices":
-        check_fields(obj, ("kind", "indices", "value"), "replace_indices corruption")
-        return ReplaceIndices(obj["indices"], number(obj["value"], "value"))
-    raise ParameterError(f"kind: unknown corruption model {kind!r}")
+    obj = json_object({} if obj is None else obj, "corruption")
+    kind = obj.get("kind", "none")
+    if kind not in _MODEL_BY_KIND:
+        raise ParameterError(f"kind: unknown corruption model {kind!r}")
+    names = [f.name for f in fields(_MODEL_BY_KIND[kind])]
+    check_fields(obj, ["kind", *names], f"{kind} corruption")
+    return _MODEL_BY_KIND[kind](**{name: obj[name] for name in names})

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import rng
-from .errors import NoDensityError, ParameterError, check_fields, json_object, number
+from .errors import NoDensityError, ParameterError, check_fields, checked_numbers, json_object
 
 __all__ = [
     "Normal",
@@ -56,12 +56,13 @@ def _require(condition: bool, field: str, message: str) -> None:
 def _family(cls):
     """Class decorator: the one home of the rules every family shares.
 
-    ``cdf``, ``quantile``, ``pdf`` and ``tail_quantile`` get a float64 array of
-    at least one dimension; a scalar argument gets a float.  ``quantile(0)`` is
-    the support infimum, and raises for a family declared ``unbounded_below``
-    (the inverse is -inf there), as does any level outside [0, 1].  NaN levels
-    and empty arrays pass.
+    Parameters are numbers; ``cdf``, ``quantile``, ``pdf`` and ``tail_quantile``
+    get a float64 array of at least one dimension; a scalar argument gets a
+    float.  ``quantile(0)`` is the support infimum, and raises for a family
+    declared ``unbounded_below`` (the inverse is -inf there), as does any level
+    outside [0, 1].  NaN levels and empty arrays pass.
     """
+    cls = checked_numbers(cls)
     unbounded_below = getattr(cls, "unbounded_below", False)
     quantile = vars(cls)["quantile"]
 
@@ -392,6 +393,7 @@ class IID:
     dist: DistributionSpec
 
 
+@checked_numbers
 @dataclass(frozen=True)
 class AR1:
     """Stationary Gaussian AR(1): X_t = rho*X_{t-1} + sqrt(1-rho^2)*Z_t.
@@ -465,7 +467,7 @@ _NAME_BY_FAMILY = {cls: name for name, cls in _FAMILY_BY_NAME.items()}
 
 def spec_to_json(spec: DistributionSpec) -> dict:
     """Serialize to ``{"family": ..., "params": {...}}``."""
-    params = {f.name: float(getattr(spec, f.name)) for f in fields(spec)}
+    params = {f.name: getattr(spec, f.name) for f in fields(spec)}
     return {"family": _NAME_BY_FAMILY[type(spec)], "params": params}
 
 
@@ -477,13 +479,13 @@ def spec_from_json(obj: dict) -> DistributionSpec:
         raise ParameterError(f"family: unknown distribution {obj.get('family')!r}") from exc
     params = obj.get("params", {})
     check_fields(params, [f.name for f in fields(cls)], f"{obj['family']} params")
-    return cls(**{k: number(v, k) for k, v in params.items()})
+    return cls(**params)
 
 
 def process_to_json(process: ProcessSpec) -> dict:
     if isinstance(process, IID):
         return {"kind": "iid", "dist": spec_to_json(process.dist)}
-    return {"kind": "ar1", "rho": float(process.rho)}
+    return {"kind": "ar1", "rho": process.rho}
 
 
 def process_from_json(obj: dict) -> ProcessSpec:
@@ -493,5 +495,5 @@ def process_from_json(obj: dict) -> ProcessSpec:
         return IID(spec_from_json(obj["dist"]))
     if kind == "ar1":
         check_fields(obj, ("kind", "rho"), "ar1 process")
-        return AR1(number(obj["rho"], "rho"))
+        return AR1(obj["rho"])
     raise ParameterError(f"kind: unknown process {kind!r}")

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the checks its input readers share."""
+"""Exception types shared across the package, and the checks its configs and readers share."""
 
+import dataclasses
 import numbers
 
 
@@ -51,6 +52,22 @@ def integer(value, where: str) -> int:
     if isinstance(value, bool) or not whole:
         raise ParameterError(f"{where}: must be an integer (got {value!r})")
     return int(value)
+
+
+def checked_numbers(cls):
+    """Dataclass decorator: before ``__post_init__``, ``int`` fields pass :func:`integer` and
+    ``float`` fields :func:`number`, named by ``metadata["key"]`` (a JSON key) if set."""
+    rules = [(f.name, f.metadata.get("key", f.name), {"int": integer, "float": number}[f.type])
+             for f in dataclasses.fields(cls) if f.type in ("int", "float")]
+    post_init = vars(cls)["__post_init__"]
+
+    def __post_init__(self):
+        for name, key, rule in rules:
+            object.__setattr__(self, name, rule(getattr(self, name), key))
+        post_init(self)
+
+    cls.__post_init__ = __post_init__
+    return cls
 
 
 def check_alpha(alpha) -> float:

@@ -31,11 +31,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParameterError, check_alpha, check_fields, integer, json_object, number
+from .errors import ParameterError, check_alpha, check_fields, checked_numbers, json_object
 
 __all__ = [
     "EstimatorConfig",
@@ -314,6 +314,7 @@ def suggested_block_size(eps: float) -> int:
 KINDS = ("plugin", "truncated", "median_of_blocks", "trimmed")
 
 
+@checked_numbers
 @dataclass(frozen=True)
 class EstimatorConfig:
     """A fully-specified estimator; ``kind`` selects which fields apply."""
@@ -324,7 +325,7 @@ class EstimatorConfig:
     beta2: float = DEFAULT_BETA2
     gap: int = 0
     trim_c: float = DEFAULT_TRIM_C
-    trim_exponent: float = DEFAULT_TRIM_EXPONENT
+    trim_exponent: float = field(default=DEFAULT_TRIM_EXPONENT, metadata={"key": "trim_exp"})
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -370,14 +371,9 @@ class EstimatorConfig:
     def from_json(cls, obj: dict) -> "EstimatorConfig":
         """Read exactly the fields that ``to_json`` writes for the object's kind."""
         kind = json_object(obj, "estimator").get("kind", "")
-        written = cls(kind).to_json()  # at their defaults: an int default takes an integer
-        check_fields(obj, written, f"{kind} estimator")
-        given = {}
-        for key, default in written.items():
-            if key != "kind" and key in obj:
-                rule = integer if isinstance(default, int) else number
-                given["trim_exponent" if key == "trim_exp" else key] = rule(obj[key], key)
-        return cls(kind, **given)
+        check_fields(obj, cls(kind).to_json(), f"{kind} estimator")
+        names = {f.metadata.get("key", f.name): f.name for f in fields(cls)}
+        return cls(**{names[key]: value for key, value in obj.items()})
 
 
 def evaluate_many(estimators, samples, alpha: float) -> list[np.ndarray]:

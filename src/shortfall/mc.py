@@ -28,7 +28,7 @@ import numpy as np
 from . import estim, functionals, rng
 from .corrupt import CorruptionModel, NoCorruption, apply_corruption_batch, model_from_json, model_to_json
 from .dist import AR1, IID, ProcessSpec, ar1_paths, process_from_json, process_to_json, sample_matrix
-from .errors import ParameterError, check_alpha, check_fields, integer, number
+from .errors import ParameterError, check_alpha, check_fields, checked_numbers, integer
 from .estim import EstimatorConfig
 
 __all__ = [
@@ -56,6 +56,7 @@ CORRUPTION_STREAM = 0x636F7272
 _SUB_BATCH_ELEMENTS = 1 << 15
 
 
+@checked_numbers
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce a deviation experiment.
@@ -109,21 +110,20 @@ class ExperimentSpec:
         """Parse a spec; a missing ``truth`` is the exact ES of the process marginal."""
         check_fields(obj, [f.name for f in fields(cls)], "experiment")
         process = process_from_json(obj["process"])
-        alpha = check_alpha(obj["alpha"])
         truth = obj.get("truth")
         if truth is None:
             marginal = process.dist if isinstance(process, IID) else process.marginal
-            truth = functionals.es_exact(marginal, alpha)
+            truth = functionals.es_exact(marginal, obj["alpha"])
         return cls(
             process=process,
             estimators=tuple(EstimatorConfig.from_json(e) for e in obj["estimators"]),
-            alpha=alpha,
+            alpha=obj["alpha"],
             sample_sizes=tuple(obj["sample_sizes"]),
-            delta=number(obj["delta"], "delta"),
-            trials=integer(obj["trials"], "trials"),
-            master_seed=integer(obj["master_seed"], "master_seed"),
+            delta=obj["delta"],
+            trials=obj["trials"],
+            master_seed=obj["master_seed"],
             corruption=model_from_json(obj.get("corruption")),
-            truth=number(truth, "truth"),
+            truth=truth,
         )
 
 

@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -130,7 +132,7 @@ def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
     ``uniforms(s, n)[a:] == uniforms(s, n - a, start=a)``.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise ParameterError(f"n: must be >= 0 (got {n})")
     offsets = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     z = np.uint64(seed & MASK64) + _U_GOLDEN * offsets
     return _counters_to_unit(z)

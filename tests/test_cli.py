@@ -118,6 +118,43 @@ def test_estimate_rejects_flags_its_kind_does_not_read(tmp_path, capsys, flags, 
     assert err == f"error: {field}\n"
 
 
+def test_estimate_flags_are_numbers_like_json(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("".join(f"{i}\n" for i in range(1, 101)))
+    runs = [run_cli(capsys, "estimate", str(data), "--alpha", "0.1", "--kind", "truncated",
+                    "--m", m) for m in ("10", "10.0", "1e1")]
+    assert runs[0][0] == 0 and runs[1:] == runs[:-1]
+    code, out, err = run_cli(capsys, "estimate", str(data), "--alpha", "0.1",
+                             "--kind", "truncated", "--m", "2.5")
+    assert (code, out, err) == (2, "", "error: m: must be an integer (got 2.5)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "DATA", "--alpha", "abc"],
+     "shortfall estimate: argument --alpha: invalid float value: 'abc'"),
+    (["estimate", "DATA", "--alpha", "0.1", "--bogus"], "shortfall: unrecognized arguments: --bogus"),
+    ([], "shortfall: the following arguments are required: command"),
+    (["estimate", "DATA", "--alpha", "0.1", "--kind", "foo"],
+     "shortfall estimate: argument --kind: invalid choice: 'foo'"),
+    (["curve", "--out", "OUT"], "shortfall curve: the following arguments are required: --config"),
+])
+def test_usage_error_is_one_line(tmp_path, capsys, argv, message):
+    data = tmp_path / "data.txt"
+    data.write_text("1.0\n2.0\n")
+    argv = [str(data) if a == "DATA" else str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["estimate", "--help"])
+    assert exc.value.code == 0
+    assert "--alpha" in capsys.readouterr().out
+
+
 # --- table1 ----------------------------------------------------------------------
 
 

@@ -113,6 +113,16 @@ def test_budget_values():
         corrupt.corruption_budget(-1, 0.5)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: corrupt.MaxShiftGaussian(k=2.5, mu=0.0, sigma=1.0), r"^k: must be an integer \(got 2.5\)$"),
+    (lambda: corrupt.ReplaceLargest(k=1.5, value=0.0), r"^k: must be an integer \(got 1.5\)$"),
+    (lambda: corrupt.ReplaceLargest(k=1, value="0"), r"^value: must be a number \(got '0'\)$"),
+])
+def test_constructor_applies_number_rule(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build()
+
+
 def test_json_roundtrip():
     models = [
         corrupt.NoCorruption(),
@@ -122,6 +132,14 @@ def test_json_roundtrip():
     ]
     for model in models:
         assert corrupt.model_from_json(corrupt.model_to_json(model)) == model
+    written = [list(corrupt.model_to_json(model).items()) for model in models]
+    assert written == [
+        [("kind", "none")],
+        [("kind", "max_shift_gaussian"), ("k", 3), ("mu", 5.0), ("sigma", 250.0)],
+        [("kind", "replace_largest"), ("k", 2), ("value", 0.0)],
+        [("kind", "replace_indices"), ("indices", [4, 7]), ("value", 1.5)],
+    ]
+    assert corrupt.model_to_json(corrupt.ReplaceIndices([9, 2, 5], -1))["indices"] == [2, 5, 9]
     assert corrupt.model_from_json(None) == corrupt.NoCorruption()
     with pytest.raises(ParameterError, match="kind"):
         corrupt.model_from_json({"kind": "flip_sign"})

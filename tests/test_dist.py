@@ -294,6 +294,23 @@ def test_json_roundtrip():
         dist.process_from_json({"kind": "ar1", "rho": True})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: dist.Pareto(1, "2"), r"^lam: must be a number \(got '2'\)$"),
+    (lambda: dist.Pareto(1, True), r"^lam: must be a number \(got True\)$"),
+    (lambda: dist.AR1("0.5"), r"^rho: must be a number \(got '0.5'\)$"),
+])
+def test_constructor_applies_number_rule(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build()
+
+
+def test_constructor_stores_floats():
+    assert dist.Pareto(1, 2) == dist.Pareto(1.0, 2.0)
+    assert all(type(v) is float for v in (dist.Pareto(1, 2).lam, dist.Normal(np.int64(0)).mu,
+                                          dist.AR1(0).rho))
+    assert dist.spec_to_json(dist.Pareto(1, 2)) == {"family": "pareto", "params": {"x0": 1.0, "lam": 2.0}}
+
+
 @pytest.mark.parametrize("nu", [1.05, 2.2, 2.5, 5.0, 30.0])
 def test_student_t_tail_quantile_finite_and_decreasing_to_1e300(nu):
     w = np.logspace(-300, math.log10(0.5), 4001)

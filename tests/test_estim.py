@@ -492,5 +492,13 @@ def test_estimator_config_roundtrip_and_eval():
     for bad in ({"kind": "trimmed", "trim_c": "1"}, {"kind": "trimmed", "trim_exp": None}):
         with pytest.raises(ParameterError, match="trim_(c|exp): must be a number"):
             estim.EstimatorConfig.from_json(bad)
+    for kwargs, message in (({"m": 2.5}, r"^m: must be an integer \(got 2.5\)$"),
+                            ({"beta1": "0.5"}, r"^beta1: must be a number \(got '0.5'\)$")):
+        with pytest.raises(ParameterError, match=message):
+            estim.EstimatorConfig("truncated", **kwargs)
+    with pytest.raises(ParameterError, match="^trim_exp: must be a number"):
+        estim.EstimatorConfig("trimmed", trim_exponent="1")
+    built = estim.EstimatorConfig("truncated", m=np.int64(50), beta1=np.float32(0.5))
+    assert type(built.m) is int and type(built.beta1) is float and built.m == 50
     labels = [estim.EstimatorConfig("median_of_blocks", m=50, gap=g).label() for g in (0, 50)]
     assert labels == ["median_of_blocks(m=50)", "median_of_blocks(m=50,gap=50)"]

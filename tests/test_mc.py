@@ -203,6 +203,21 @@ def test_experiment_spec_validation_and_json():
         mc.ExperimentSpec.from_json(dict(spec.to_json(), corruptoin={"kind": "none"}))
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("trials", 2.5, "an integer"), ("trials", True, "an integer"),
+    ("master_seed", 1.5, "an integer"), ("delta", "1", "a number"),
+])
+def test_experiment_spec_constructor_applies_number_rule(field, value, rule):
+    with pytest.raises(ParameterError, match=f"^{field}: must be {rule} "):
+        _constant_spec(**{field: value})
+
+
+def test_experiment_spec_constructor_stores_whole_floats_as_int():
+    spec = _constant_spec(trials=3.0, master_seed=np.uint64(7))
+    assert (spec.trials, spec.master_seed) == (3, 7)
+    assert type(spec.trials) is int and type(spec.master_seed) is int
+
+
 # --- golden streams ----------------------------------------------------------------
 
 GOLDEN_SEED = 20260811

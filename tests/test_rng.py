@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shortfall import rng
+from shortfall.errors import ParameterError
 
 
 def test_uniforms_deterministic():
@@ -21,7 +22,7 @@ def test_uniforms_open_interval(seed):
 def test_uniforms_start_offset():
     full = rng.uniforms(77, 50)
     assert np.array_equal(full[20:], rng.uniforms(77, 30, start=20))
-    with pytest.raises(ValueError, match="n must be >= 0"):
+    with pytest.raises(ParameterError, match=r"^n: must be >= 0 \(got -1\)$"):
         rng.uniforms(77, -1)
 
 
