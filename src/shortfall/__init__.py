@@ -38,7 +38,6 @@ from .functionals import (
     es_by_quadrature,
     es_exact,
     lipschitz_D,
-    lipschitz_L,
     sigma_es,
 )
 from .mc import (

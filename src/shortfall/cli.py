@@ -35,7 +35,8 @@ from .functionals import table1_rows
 
 CONFIG_VERSION = 1
 
-ESTIMATOR_FLAGS = ("m", "beta1", "beta2", "gap", "trim_c", "trim_exp")
+ESTIMATOR_FLAGS = tuple(f.metadata.get("key", f.name) for f in dataclasses.fields(EstimatorConfig)
+                        if f.name != "kind")
 
 
 def _read_data_file(path: str) -> np.ndarray:
@@ -224,15 +225,14 @@ def cmd_mixing(args) -> int:
     return 0
 
 
-def _add_config_args(sub, bins: bool = False, n_flag: bool = False) -> None:
+def _add_config_args(sub, histogram: bool = False) -> None:
     sub.add_argument("--config", required=True, help="experiment config JSON")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--workers", type=int, default=0,
                      help="worker processes (0 = auto / SHORTFALL_WORKERS)")
     sub.add_argument("--svg", action="store_true", help="also emit SVG charts")
-    if bins:
+    if histogram:
         sub.add_argument("--bins", type=int, default=50, help="histogram bin count")
-    if n_flag:
         sub.add_argument("--n", type=int, default=0,
                          help="sample size to use (default: largest in config)")
 
@@ -267,11 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     curve.set_defaults(fn=cmd_curve)
 
     hist = subs.add_parser("hist", help="histogram of estimates at one N")
-    _add_config_args(hist, bins=True, n_flag=True)
+    _add_config_args(hist, histogram=True)
     hist.set_defaults(fn=cmd_hist)
 
     demo = subs.add_parser("corrupt-demo", help="clean vs corrupted histograms")
-    _add_config_args(demo, bins=True, n_flag=True)
+    _add_config_args(demo, histogram=True)
     demo.set_defaults(fn=cmd_corrupt_demo)
 
     mixing = subs.add_parser("mixing", help="AR(1) gapped-block experiment")

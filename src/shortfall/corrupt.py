@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special as sp
 
 from . import rng
-from .errors import ParameterError, check_fields, checked_numbers, integer, json_object
+from .errors import ParameterError, check_fields, checked_numbers, integer, json_object, sequence
 
 __all__ = [
     "NoCorruption",
@@ -83,7 +83,7 @@ class ReplaceIndices:
     value: float
 
     def __post_init__(self):
-        idx = frozenset(integer(i, "indices") for i in self.indices)
+        idx = frozenset(integer(i, "indices") for i in sequence(self.indices, "indices"))
         if any(i < 1 for i in idx):
             raise ParameterError("indices: must be 1-based (>= 1)")
         object.__setattr__(self, "indices", idx)

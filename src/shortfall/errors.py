@@ -54,6 +54,16 @@ def integer(value, where: str) -> int:
     return int(value)
 
 
+def sequence(value, where: str) -> tuple:
+    """``value`` as a tuple: a JSON list, a tuple, a set or an array, never a string or a dict."""
+    if not isinstance(value, (str, bytes, dict)):
+        try:
+            return tuple(value)
+        except TypeError:  # not iterable: a number, or a 0-d array
+            pass
+    raise ParameterError(f"{where}: must be a list (got {value!r})")
+
+
 def checked_numbers(cls):
     """Dataclass decorator: before ``__post_init__``, ``int`` fields pass :func:`integer` and
     ``float`` fields :func:`number`, named by ``metadata["key"]`` (a JSON key) if set."""

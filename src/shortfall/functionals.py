@@ -14,7 +14,7 @@ Three independent routes to the expected shortfall at level ``alpha``:
 Also provided: the asymptotic standard deviation ``sigma_es`` of the plug-in
 estimator (from the first two tail moments of the excess over the
 (1-alpha)-quantile, on the same u-space engine as ``es_by_quadrature``) and
-the quantile-function Lipschitz constants ``lipschitz_D`` / ``lipschitz_L``.
+the local Lipschitz constant ``lipschitz_D`` of the quantile function.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "es_by_distortion",
     "sigma_es",
     "lipschitz_D",
-    "lipschitz_L",
     "TABLE1_CATALOG",
     "table1_rows",
 ]
@@ -55,7 +54,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _ES_TOL = 1e-10  # absolute, of the two quadrature ES routes
 _SIGMA_TOL = 1e-6  # relative, of sigma_es
-_L_REL_TOL = 1e-6  # the relative agreement that ends the refinement of lipschitz_L
 
 
 @dataclass(frozen=True)
@@ -295,48 +293,19 @@ def sigma_es(spec: DistributionSpec, alpha: float) -> VarianceResult:
     return VarianceResult(sigma, var_err / (2.0 * sigma))
 
 
-# --- Lipschitz constants of the quantile function ----------------------------
-
-
-def _quantile_slope(spec: DistributionSpec, w):
-    """d/du F^{-1}(u) at u = 1 - w, i.e. 1/f(F^{-1}(1-w)); vectorized in w, inf where f is 0."""
-    with np.errstate(divide="ignore"):
-        return 1.0 / np.asarray(spec.pdf(spec.tail_quantile(w)))
+# --- Lipschitz constant of the quantile function ----------------------------
 
 
 def lipschitz_D(spec: DistributionSpec, alpha: float) -> float:
-    """Local Lipschitz constant D(alpha) = 1/f(F^{-1}(1-alpha))."""
+    """Local Lipschitz constant D(alpha) = 1/f(F^{-1}(1-alpha)), the slope of F^{-1} at 1-alpha."""
     alpha = check_alpha(alpha)
-    value = float(_quantile_slope(spec, alpha))
+    with np.errstate(divide="ignore"):
+        value = float(1.0 / np.asarray(spec.pdf(spec.tail_quantile(alpha))))
     if not math.isfinite(value) or value <= 0.0:
         raise ParameterError(
             f"alpha: density vanishes at the (1-alpha)-quantile (D undefined, got {value})"
         )
     return value
-
-
-def lipschitz_L(spec: DistributionSpec, alpha: float) -> float:
-    """max of D(beta) over beta in [alpha/2, 2*alpha].
-
-    Evaluated on a 129-point grid, refined around the maximizer until two
-    successive refinements agree to 1e-6 relative.
-    """
-    alpha = check_alpha(alpha)  # alpha < 1/2 keeps [alpha/2, 2*alpha] inside (0, 1)
-    lo, hi = 0.5 * alpha, 2.0 * alpha
-    best = -math.inf
-    for _ in range(12):
-        grid = np.linspace(lo, hi, 129)
-        vals = _quantile_slope(spec, grid)
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-            raise ParameterError("alpha: density vanishes on the L-range (L undefined)")
-        i = int(np.argmax(vals))
-        new_best = float(vals[i])
-        done = best > 0 and abs(new_best - best) <= _L_REL_TOL * abs(new_best)
-        best = max(best, new_best)
-        if done:
-            break
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, 128)]
-    return best
 
 
 # --- Table-1 style catalog ---------------------------------------------------

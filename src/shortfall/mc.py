@@ -10,10 +10,10 @@ trial.  Preconditions on ``N`` live in the kernels alone: :class:`ExperimentSpec
 (at every ``N``) and :func:`run_trials_multi` run trial 0's corruption and
 estimators on an empty ``(0, N)`` batch, so they fail before any trial runs.
 
-Trials ``[0, trials)`` are split into one near-equal contiguous range per
-worker process (no pool at one worker).  Each range runs in row-wise
-vectorized sub-batches of ``_SUB_BATCH_ELEMENTS // N`` rows, small enough to
-stay in a per-core L2 cache; results are concatenated in trial order.
+Trials ``[0, trials)`` are cut once into row-wise vectorized sub-batches of
+``_SUB_BATCH_ELEMENTS // N`` rows, small enough to stay in a per-core L2 cache.
+Worker processes (no pool at one worker) take the list in near-equal
+contiguous chunks; results are concatenated in trial order.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from . import estim, functionals, rng
 from .corrupt import CorruptionModel, NoCorruption, apply_corruption_batch, model_from_json, model_to_json
 from .dist import AR1, IID, ProcessSpec, ar1_paths, process_from_json, process_to_json, sample_matrix
-from .errors import ParameterError, check_alpha, check_fields, checked_numbers, integer
+from .errors import ParameterError, check_alpha, check_fields, checked_numbers, integer, sequence
 from .estim import EstimatorConfig
 
 __all__ = [
@@ -77,14 +78,14 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        estimators = tuple(self.estimators)
+        estimators = sequence(self.estimators, "estimators")
         if not estimators:
             raise ParameterError("estimators: need at least one estimator")
         if not self.delta > 0.0:
             raise ParameterError(f"delta: must be > 0 (got {self.delta})")
         if self.trials < 1:
             raise ParameterError(f"trials: must be >= 1 (got {self.trials})")
-        sizes = tuple(integer(n, "sample_sizes") for n in self.sample_sizes)
+        sizes = tuple(integer(n, "sample_sizes") for n in sequence(self.sample_sizes, "sample_sizes"))
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
             raise ParameterError("sample_sizes: need a nonempty, strictly increasing list of N >= 1")
         for n in sizes:
@@ -116,9 +117,9 @@ class ExperimentSpec:
             truth = functionals.es_exact(marginal, obj["alpha"])
         return cls(
             process=process,
-            estimators=tuple(EstimatorConfig.from_json(e) for e in obj["estimators"]),
+            estimators=tuple(map(EstimatorConfig.from_json, sequence(obj["estimators"], "estimators"))),
             alpha=obj["alpha"],
-            sample_sizes=tuple(obj["sample_sizes"]),
+            sample_sizes=obj["sample_sizes"],
             delta=obj["delta"],
             trials=obj["trials"],
             master_seed=obj["master_seed"],
@@ -194,23 +195,16 @@ def draw_trial_samples(process: ProcessSpec, n: int, master_seed: int,
 
 def _run_batch(process: ProcessSpec, estimators: tuple[EstimatorConfig, ...],
                alpha: float, n: int, master_seed: int, corruption: CorruptionModel,
-               t_start: int, t_stop: int) -> list[np.ndarray]:
-    samples = draw_trial_samples(process, n, master_seed, t_start, t_stop, corruption)
+               rows: int, trials: int, t_start: int) -> list[np.ndarray]:
+    """Trials ``[t_start, min(t_start + rows, trials))``: one sub-batch."""
+    samples = draw_trial_samples(process, n, master_seed, t_start, min(t_start + rows, trials),
+                                 corruption)
     return estim.evaluate_many(estimators, samples, alpha)
 
 
-def _concat(parts: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Join the per-estimator results of consecutive trial ranges."""
+def _concat(parts) -> list[np.ndarray]:
+    """Join the per-estimator results of consecutive sub-batches."""
     return [np.concatenate(column) for column in zip(*parts)]
-
-
-def _run_span(process: ProcessSpec, estimators: tuple[EstimatorConfig, ...],
-              alpha: float, n: int, master_seed: int, corruption: CorruptionModel,
-              t_start: int, t_stop: int) -> list[np.ndarray]:
-    """Trials ``[t_start, t_stop)``, one cache-sized sub-batch at a time."""
-    rows = max(1, _SUB_BATCH_ELEMENTS // n)
-    return _concat([_run_batch(process, estimators, alpha, n, master_seed, corruption,
-                               t0, min(t0 + rows, t_stop)) for t0 in range(t_start, t_stop, rows)])
 
 
 def _check_trial_zero(estimators, alpha: float, n: int, corruption: CorruptionModel) -> None:
@@ -237,14 +231,14 @@ def run_trials_multi(process: ProcessSpec, estimators, alpha: float, n: int,
     if trials < 1:
         raise ParameterError(f"trials: must be >= 1 (got {trials})")
     _check_trial_zero(estimators, alpha, n, corruption)
-    workers = min(resolve_workers(workers), -(-trials // max(1, _SUB_BATCH_ELEMENTS // n)))
-    job = (process, estimators, alpha, n, master_seed, corruption)
+    rows = max(1, _SUB_BATCH_ELEMENTS // n)
+    starts = range(0, trials, rows)
+    workers = min(resolve_workers(workers), len(starts))
+    batch = partial(_run_batch, process, estimators, alpha, n, master_seed, corruption, rows, trials)
     if workers == 1:
-        return _run_span(*job, 0, trials)
-    bounds = [trials * i // workers for i in range(workers + 1)]
+        return _concat(map(batch, starts))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_span, *job, t0, t1) for t0, t1 in zip(bounds, bounds[1:])]
-        return _concat([future.result() for future in futures])
+        return _concat(pool.map(batch, starts, chunksize=-(-len(starts) // workers)))
 
 
 def run_trials(spec: ExperimentSpec, n: int, workers: int = 0) -> list[np.ndarray]:

@@ -297,6 +297,13 @@ def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_co
     ("curve", [], {"delta": math.nan}, "config: delta: must be > 0 (got nan)"),
     ("mixing", [], {"oracle": {"block_size": 2000.5}},
      "config: oracle: block_size: must be an integer (got 2000.5)"),
+    # a list field given a scalar or a string names the field
+    ("curve", [], {"estimators": 5}, "config: estimators: must be a list (got 5)"),
+    ("curve", [], {"sample_sizes": 1000}, "config: sample_sizes: must be a list (got 1000)"),
+    ("curve", [], {"corruption": {"kind": "replace_indices", "indices": 5, "value": 1e6}},
+     "config: indices: must be a list (got 5)"),
+    ("curve", [], {"estimators": "plugin"}, "config: estimators: must be a list (got 'plugin')"),
+    ("curve", [], {"sample_sizes": "1000"}, "config: sample_sizes: must be a list (got '1000')"),
 ])
 def test_bad_argument_before_output(tmp_path, capsys, trivial_config,
                                     command, flags, overrides, message):

@@ -71,8 +71,11 @@ def test_k_larger_than_n_rejected():
     (lambda: corrupt.MaxShiftGaussian(1, 0.0, 0.0), "sigma: must be > 0"),
     (lambda: corrupt.ReplaceLargest(-1, 0.0), "k: must be >= 0"),
     (lambda: corrupt.ReplaceIndices(frozenset({1.5}), 1.0), r"indices: must be an integer \(got 1.5\)"),
+    (lambda: corrupt.ReplaceIndices(5, 1.0), r"indices: must be a list \(got 5\)"),
+    (lambda: corrupt.ReplaceIndices("12", 1.0), r"indices: must be a list \(got '12'\)"),
     (lambda: corrupt.apply_corruption(np.arange(3.0), object(), 0), "unknown corruption model object"),
-], ids=["max_shift_k", "max_shift_sigma", "replace_largest_k", "fractional_index", "unknown_model"])
+], ids=["max_shift_k", "max_shift_sigma", "replace_largest_k", "fractional_index", "scalar_indices",
+        "string_indices", "unknown_model"])
 def test_invalid_model_names_field(make, message):
     with pytest.raises(ParameterError, match=message):
         make()

@@ -202,7 +202,7 @@ def test_sigma_atom_mix():
     assert got.value == pytest.approx(target, rel=1e-6)
 
 
-# --- Lipschitz constants -----------------------------------------------------------
+# --- Lipschitz constant ------------------------------------------------------------
 
 
 def test_lipschitz_D_values():
@@ -218,24 +218,7 @@ def test_lipschitz_D_atomic_raises():
     for spec in (dist.Pareto(1.0, 1e-3), dist.Lognormal(0.0, 1000.0)):
         with pytest.raises(ParameterError, match="density vanishes at the"):
             fn.lipschitz_D(spec, 0.1)
-        with pytest.raises(ParameterError, match="density vanishes on the L-range"):
-            fn.lipschitz_L(spec, 0.1)
 
-
-def test_lipschitz_L_values():
-    assert fn.lipschitz_L(dist.Exponential(1.0), 0.1) == pytest.approx(20.0, rel=1e-6)
-    # D increases toward the tail for the normal: max at beta = alpha/2
-    assert fn.lipschitz_L(dist.Normal(0.0, 1.0), 0.1) == pytest.approx(
-        fn.lipschitz_D(dist.Normal(0.0, 1.0), 0.05), rel=1e-6
-    )
-    assert fn.lipschitz_L(dist.Pareto(1.0, 2.0), 0.2) == pytest.approx(
-        fn.lipschitz_D(dist.Pareto(1.0, 2.0), 0.1), rel=1e-6
-    )
-
-
-def test_lipschitz_L_range_validation():
-    with pytest.raises(ParameterError, match="alpha"):
-        fn.lipschitz_L(dist.Normal(), 0.5)
 
 
 # --- affine behavior ---------------------------------------------------------------

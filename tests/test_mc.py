@@ -1,6 +1,5 @@
 import hashlib
 import math
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -91,10 +90,10 @@ def test_trials_deterministic_across_workers():
 
 
 def test_workers_capped_at_sub_batches(monkeypatch):
-    started = []
+    started, chunks = [], []
 
     class RecordingPool:
-        """Records each pool's size and runs its jobs inline, in this process."""
+        """Records each pool's size and chunk size and runs its jobs inline, in this process."""
 
         def __init__(self, max_workers):
             started.append(max_workers)
@@ -105,10 +104,9 @@ def test_workers_capped_at_sub_batches(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, iterable, chunksize):
+            chunks.append(chunksize)
+            return [fn(item) for item in iterable]
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
     process = dist.IID(dist.Pareto(1.0, 2.2))
@@ -116,11 +114,18 @@ def test_workers_capped_at_sub_batches(monkeypatch):
     tiny = mc.run_trials_multi(process, ests, 0.1, 400, 3, 5, workers=8)
     assert started == [] and tiny[0].shape == (3,)
     n = 3250
-    trials = 3 * (mc._SUB_BATCH_ELEMENTS // n)  # three full sub-batches
+    rows = mc._SUB_BATCH_ELEMENTS // n
+    trials = 3 * rows  # three full sub-batches
     pooled = mc.run_trials_multi(process, ests, 0.1, n, trials, 5, workers=8)
-    assert started == [3]
+    assert started == [3] and chunks == [1]
     serial = mc.run_trials_multi(process, ests, 0.1, n, trials, 5, workers=1)
     assert started == [3] and np.array_equal(pooled[0], serial[0])
+    # five sub-batches, the last one short: one contiguous chunk of ceil(5 / 2) per worker
+    trials = 4 * rows + 1
+    pooled = mc.run_trials_multi(process, ests, 0.1, n, trials, 5, workers=2)
+    assert started == [3, 2] and chunks == [1, math.ceil(5 / 2)]
+    serial = mc.run_trials_multi(process, ests, 0.1, n, trials, 5, workers=1)
+    assert np.array_equal(pooled[0], serial[0])
 
 
 def test_trials_depend_on_master_seed():
@@ -210,6 +215,23 @@ def test_experiment_spec_validation_and_json():
 def test_experiment_spec_constructor_applies_number_rule(field, value, rule):
     with pytest.raises(ParameterError, match=f"^{field}: must be {rule} "):
         _constant_spec(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sample_sizes", 1000), ("sample_sizes", "1000"), ("sample_sizes", {20: 1}),
+    ("sample_sizes", np.array(1000)),
+    ("estimators", "plugin"), ("estimators", estim.EstimatorConfig("plugin")),
+], ids=["int_sizes", "str_sizes", "dict_sizes", "0d_array_sizes", "str_estimators", "one_estimator"])
+def test_experiment_spec_list_field_rejects_scalar(field, value):
+    with pytest.raises(ParameterError, match=f"^{field}: must be a list \\(got "):
+        _constant_spec(**{field: value})
+
+
+def test_experiment_spec_list_field_takes_any_sequence():
+    for sizes in ([20, 40], (20, 40), range(20, 41, 20), np.array([20, 40])):
+        assert _constant_spec(sample_sizes=sizes).sample_sizes == (20, 40)
+    plugin = estim.EstimatorConfig("plugin")
+    assert _constant_spec(estimators=[plugin]).estimators == (plugin,)
 
 
 def test_experiment_spec_constructor_stores_whole_floats_as_int():
