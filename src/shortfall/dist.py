@@ -61,8 +61,15 @@ def _family(cls):
     float.  ``quantile(0)`` is the support infimum, and raises for a family
     declared ``unbounded_below`` (the inverse is -inf there), as does any level
     outside [0, 1].  NaN levels and empty arrays pass.
+
+    A family declared ``has_atoms`` puts mass on single points, so its
+    quantile function is flat on an interval of levels: distinct levels map to
+    equal values.  Every other family's quantile function is strictly
+    increasing, which lets the Monte Carlo engine select order statistics
+    among the uniforms (see :mod:`shortfall.mc`).
     """
     cls = checked_numbers(cls)
+    cls.has_atoms = getattr(cls, "has_atoms", False)
     unbounded_below = getattr(cls, "unbounded_below", False)
     quantile = vars(cls)["quantile"]
 
@@ -307,6 +314,7 @@ class Exponential:
 class ScaledBernoulli:
     """Two-point law: mass 1-p at 0 and mass p at x > 0."""
 
+    has_atoms: ClassVar[bool] = True
     p: float
     x: float
 
@@ -345,6 +353,7 @@ class AtomMix:
     density ``delta/|x0|`` on ``(x0, 0)``.
     """
 
+    has_atoms: ClassVar[bool] = True
     x0: float
     alpha: float
     delta: float

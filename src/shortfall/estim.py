@@ -24,6 +24,18 @@ scalar form validates one sample and runs that kernel on a one-row matrix, so
 both forms give the same bits.  :func:`evaluate_many` evaluates several
 estimators on one matrix and computes the full-sample plug-in and the sorted
 block estimates of each block layout once; the Monte Carlo engine uses it.
+
+Every estimator reads only a top segment of its partitioned sample (of each
+block, for the block estimates).  The batch kernels and :func:`evaluate_many`
+therefore take an optional ``transform``: a vectorized nondecreasing map ``q``
+such that the estimates are those of ``q(samples)``, while ``q`` is applied
+only to the segments read.  The order statistics of ``q(U)`` are ``q`` of the
+order statistics of ``U``, so any nondecreasing ``q`` gives the same estimates
+up to the order of the sums.  Where ``q`` is strictly increasing on the given
+points, partitioning ``U`` makes the same comparisons as partitioning
+``q(U)``, the segments hold the same values in the same order, and the
+results have the same bits.  The Monte Carlo engine passes a family's
+quantile function with a matrix of uniforms.
 """
 
 from __future__ import annotations
@@ -93,18 +105,22 @@ def _top_index(n: int, alpha: float) -> int:
     return min(int(math.floor((1.0 - alpha) * n)), n - 1)
 
 
-def _tail_mean(part: np.ndarray, k: int, n: int, alpha: float) -> np.ndarray:
-    """Row-wise plug-in of the first ``n`` columns of ``part``, partitioned at ``k``."""
+def _tail_mean(part: np.ndarray, k: int, n: int, alpha: float, transform=None) -> np.ndarray:
+    """Row-wise plug-in of the first ``n`` columns of ``part``, partitioned at ``k``.
+
+    Only columns ``k..n-1`` are read; ``transform``, when given, maps them first.
+    """
     boundary_w = (k + 1.0) / n - max(k / n, 1.0 - alpha)
-    top_sum = part[:, k + 1: n].sum(axis=-1)
-    out = (top_sum / n + boundary_w * part[:, k]) / alpha
+    tail = part[:, k:n] if transform is None else transform(part[:, k:n])
+    top_sum = tail[:, 1:].sum(axis=-1)
+    out = (top_sum / n + boundary_w * tail[:, 0]) / alpha
     over = ~np.isfinite(top_sum)
     if over.any():
         # A sum of finite values near 1e308 can overflow while their weighted
         # mean cannot: add those rows again at an exact power-of-two scale.
         scale = 2.0 ** -math.ceil(math.log2(n))
-        rows = part[over] * scale
-        out[over] = (rows[:, k + 1: n].sum(axis=-1) / n + boundary_w * rows[:, k]) / alpha / scale
+        rows = tail[over] * scale
+        out[over] = (rows[:, 1:].sum(axis=-1) / n + boundary_w * rows[:, 0]) / alpha / scale
     return out
 
 
@@ -113,13 +129,13 @@ def plugin_es(sample, alpha: float) -> float:
     return float(plugin_es_batch(_one_row(sample), alpha)[0])
 
 
-def plugin_es_batch(samples, alpha: float) -> np.ndarray:
-    """Row-wise plug-in estimates for a (trials, N) matrix."""
+def plugin_es_batch(samples, alpha: float, transform=None) -> np.ndarray:
+    """Row-wise plug-in estimates of a (trials, N) matrix, or of ``transform`` of it."""
     alpha = check_alpha(alpha)
     a = _as_batch(samples)
     n = a.shape[1]
     k = _top_index(n, alpha)
-    return _tail_mean(np.partition(a, k, axis=-1), k, n, alpha)
+    return _tail_mean(np.partition(a, k, axis=-1), k, n, alpha, transform)
 
 
 def interp_quantile(values, beta: float) -> float:
@@ -178,18 +194,19 @@ def block_estimates(sample, alpha: float, m: int, gap: int = 0) -> np.ndarray:
     return block_estimates_batch(_one_row(sample), alpha, m, gap)[0]
 
 
-def block_estimates_batch(samples, alpha: float, m: int, gap: int = 0) -> np.ndarray:
+def block_estimates_batch(samples, alpha: float, m: int, gap: int = 0,
+                          transform=None) -> np.ndarray:
     """Row-wise block estimates; shape (trials, n_blocks)."""
     alpha = check_alpha(alpha)
     a = _as_batch(samples)
     blocks = _block_view(a, m, gap)
     n_rows, n_blocks, width = blocks.shape
-    flat = plugin_es_batch(blocks.reshape(n_rows * n_blocks, width), alpha)
+    flat = plugin_es_batch(blocks.reshape(n_rows * n_blocks, width), alpha, transform)
     return flat.reshape(n_rows, n_blocks)
 
 
-def _sorted_blocks(a: np.ndarray, alpha: float, m: int, gap: int) -> np.ndarray:
-    return np.sort(block_estimates_batch(a, alpha, m, gap), axis=-1)
+def _sorted_blocks(a: np.ndarray, alpha: float, m: int, gap: int, transform=None) -> np.ndarray:
+    return np.sort(block_estimates_batch(a, alpha, m, gap, transform), axis=-1)
 
 
 def _check_beta_order(beta1: float, beta2: float) -> None:
@@ -287,17 +304,17 @@ def trimmed_es(sample, alpha: float, c: float = DEFAULT_TRIM_C,
 
 
 def trimmed_es_batch(samples, alpha: float, c: float = DEFAULT_TRIM_C,
-                     exponent: float = DEFAULT_TRIM_EXPONENT) -> np.ndarray:
+                     exponent: float = DEFAULT_TRIM_EXPONENT, transform=None) -> np.ndarray:
     alpha = check_alpha(alpha)
     a = _as_batch(samples)
     n = a.shape[1]
     k = _trim_count(n, c, exponent)
     if k == 0:
-        return plugin_es_batch(a, alpha)
+        return plugin_es_batch(a, alpha, transform)
     kept = n - k
     k2 = _top_index(kept, alpha)
     part = np.partition(a, sorted({k2, kept - 1}), axis=-1)
-    return _tail_mean(part, k2, kept, alpha)
+    return _tail_mean(part, k2, kept, alpha, transform)
 
 
 def suggested_block_size(eps: float) -> int:
@@ -376,17 +393,19 @@ class EstimatorConfig:
         return cls(**{names[key]: value for key, value in obj.items()})
 
 
-def evaluate_many(estimators, samples, alpha: float) -> list[np.ndarray]:
+def evaluate_many(estimators, samples, alpha: float, transform=None) -> list[np.ndarray]:
     """Row-wise estimates of several estimators on one (trials, N) matrix.
 
     The full-sample plug-in and the sorted block estimates of each
     ``(m, gap)`` layout are computed once and shared by every estimator that
     needs them, so each result has the bits of that estimator evaluated alone.
+    With a ``transform`` the estimates are those of ``transform(samples)``
+    (see the module docstring for the contract).
     """
     alpha = check_alpha(alpha)
     a = _as_batch(samples)
-    full = functools.cache(lambda: plugin_es_batch(a, alpha))
-    blocks = functools.cache(lambda m, gap: _sorted_blocks(a, alpha, m, gap))
+    full = functools.cache(lambda: plugin_es_batch(a, alpha, transform))
+    blocks = functools.cache(lambda m, gap: _sorted_blocks(a, alpha, m, gap, transform))
     out = []
     for est in estimators:
         if est.kind == "plugin":
@@ -398,5 +417,5 @@ def evaluate_many(estimators, samples, alpha: float) -> list[np.ndarray]:
             _block_count(a.shape[1], est.m, est.gap, need=2)
             out.append(_clamp(full(), blocks(est.m, est.gap), est.beta1, est.beta2)[0])
         else:
-            out.append(trimmed_es_batch(a, alpha, est.trim_c, est.trim_exponent))
+            out.append(trimmed_es_batch(a, alpha, est.trim_c, est.trim_exponent, transform))
     return out

@@ -14,6 +14,15 @@ Trials ``[0, trials)`` are cut once into row-wise vectorized sub-batches of
 ``_SUB_BATCH_ELEMENTS // N`` rows, small enough to stay in a per-core L2 cache.
 Worker processes (no pool at one worker) take the list in near-equal
 contiguous chunks; results are concatenated in trial order.
+
+A sub-batch of an i.i.d. process without corruption, from a family without
+atoms, never builds its sample matrix X = quantile(U): the estimators
+partition the uniforms U and apply the quantile function only to the top
+segments they read (20–30 % of the points at alpha = 0.1; see
+:mod:`shortfall.estim`).  The quantile function is strictly increasing there,
+so the estimates have the bits of the estimators on X.  An AR(1) process, a
+family with atoms (distinct levels map to one value) and every corruption
+model (it acts on X) take the X path through :func:`draw_trial_samples`.
 """
 
 from __future__ import annotations
@@ -184,7 +193,11 @@ def _draw_batch(process: ProcessSpec, seeds: np.ndarray, n: int) -> np.ndarray:
 def draw_trial_samples(process: ProcessSpec, n: int, master_seed: int,
                        t_start: int, t_stop: int,
                        corruption: CorruptionModel = NoCorruption()) -> np.ndarray:
-    """The exact (t_stop - t_start, n) sample matrix the engine would use."""
+    """Samples of trials ``[t_start, t_stop)``, shape (t_stop - t_start, n).
+
+    The engine's estimates equal the estimators on this matrix, though on the
+    uniform path (module docstring) the engine never builds it.
+    """
     ts = np.arange(t_start, t_stop, dtype=np.uint64)
     seeds = rng.split_array(master_seed, n, ts)
     samples = _draw_batch(process, seeds, n)
@@ -197,8 +210,12 @@ def _run_batch(process: ProcessSpec, estimators: tuple[EstimatorConfig, ...],
                alpha: float, n: int, master_seed: int, corruption: CorruptionModel,
                rows: int, trials: int, t_start: int) -> list[np.ndarray]:
     """Trials ``[t_start, min(t_start + rows, trials))``: one sub-batch."""
-    samples = draw_trial_samples(process, n, master_seed, t_start, min(t_start + rows, trials),
-                                 corruption)
+    t_stop = min(t_start + rows, trials)
+    if isinstance(process, IID) and isinstance(corruption, NoCorruption) and not process.dist.has_atoms:
+        seeds = rng.split_array(master_seed, n, np.arange(t_start, t_stop, dtype=np.uint64))
+        u = rng.uniform_matrix(seeds, n)
+        return estim.evaluate_many(estimators, u, alpha, process.dist.quantile)
+    samples = draw_trial_samples(process, n, master_seed, t_start, t_stop, corruption)
     return estim.evaluate_many(estimators, samples, alpha)
 
 

@@ -18,13 +18,18 @@ Output function
         z ^= z >> 27;  z *= 0x94D049BB133111EB
         z ^= z >> 31
 
-    (all arithmetic mod 2**64) and mapped to a double in the open interval
-    (0, 1) via
+    (all arithmetic mod 2**64) and mapped to a double in (0, 1] via
 
-        u = ((z >> 11) + 0.5) * 2**-53
+        u = fl((z >> 11) + 0.5) * 2**-53
 
-    i.e. the top 53 bits select one of 2**53 equal-width bins and ``u`` is the
-    bin midpoint, so 0 < u < 1 always holds.
+    where ``fl`` rounds to the nearest double, ties to even.  The top 53 bits
+    select one of 2**53 equal-width bins.  Below 1/2 (``z >> 11 < 2**52``) ``u``
+    is the bin midpoint.  From 1/2 up the midpoint is not a double and rounds
+    to the even one of the bin's two edges, ``i * 2**-53`` with ``i`` even.
+    So for 2**52 < i < 2**53 the adjacent bins ``i - 1`` and ``i`` share one
+    ``u``, and the top bin ``z >> 11 = 2**53 - 1`` gives exactly ``u = 1.0``,
+    where every family unbounded above has an infinite quantile.  Hence
+    0 < u <= 1, and u = 1 has probability 2**-53.
 
 Seed derivation (splitting)
     Sub-streams are derived by folding integer keys into a seed:
@@ -116,7 +121,11 @@ def split_from(seeds: np.ndarray, key: int) -> np.ndarray:
 
 
 def _counters_to_unit(z: np.ndarray) -> np.ndarray:
-    """Finalize uint64 counters in place and map to doubles in (0, 1)."""
+    """Finalize uint64 counters in place and map to doubles in (0, 1].
+
+    See the module docstring: from 1/2 up, ``+ 0.5`` rounds to even, so two
+    adjacent bins share a value and the top bin gives exactly 1.0.
+    """
     z = _finalize_array(z)
     np.right_shift(z, np.uint64(11), out=z)
     u = z.astype(np.float64)
@@ -126,7 +135,11 @@ def _counters_to_unit(z: np.ndarray) -> np.ndarray:
 
 
 def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """``n`` uniforms in (0, 1) from the stream of ``seed``.
+    """``n`` uniforms in (0, 1] from the stream of ``seed``.
+
+    Each is ``fl((z >> 11) + 0.5) * 2**-53`` of its finalized counter ``z``
+    (module docstring): a bin midpoint below 1/2, an even bin edge from 1/2
+    up, and exactly 1.0 with probability 2**-53.
 
     ``start`` skips that many values, so
     ``uniforms(s, n)[a:] == uniforms(s, n - a, start=a)``.
@@ -139,7 +152,10 @@ def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
 
 
 def uniform_matrix(seeds: np.ndarray, n: int) -> np.ndarray:
-    """Row ``b`` holds ``uniforms(seeds[b], n)``; shape (len(seeds), n)."""
+    """Row ``b`` holds ``uniforms(seeds[b], n)``; shape (len(seeds), n).
+
+    The values lie in (0, 1] by the same map as :func:`uniforms`.
+    """
     steps = _U_GOLDEN * np.arange(1, n + 1, dtype=np.uint64)
     z = np.add.outer(np.asarray(seeds, dtype=np.uint64), steps)
     return _counters_to_unit(z)

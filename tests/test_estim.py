@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import riemann_plugin_oracle
-from shortfall import estim
+from shortfall import dist, estim, functionals, rng
 from shortfall.errors import ParameterError
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
@@ -343,6 +343,29 @@ def test_scalar_is_one_row_batch_on_edge_samples(kind, case):
     reference = _fsum_reference(kind, x, alpha, m)
     assert math.isfinite(got)
     assert abs(got - reference) <= 1e-12 * abs(reference)
+
+
+# --- selection among the inputs of a transform -----------------------------------------
+
+
+_ALL_KINDS = (estim.EstimatorConfig("plugin"),
+              estim.EstimatorConfig("truncated"),
+              estim.EstimatorConfig("median_of_blocks"),
+              estim.EstimatorConfig("trimmed"),
+              estim.EstimatorConfig("truncated", m=125, gap=125))
+
+
+@pytest.mark.parametrize("n", [3250, 3333])
+@pytest.mark.parametrize("spec", [*functionals.TABLE1_CATALOG, dist.Pareto(1.0, 2.2)], ids=repr)
+def test_transform_gives_the_bits_of_the_transformed_samples(spec, n):
+    assert not spec.has_atoms
+    u = rng.uniform_matrix(rng.split_array(11, n, np.arange(24, dtype=np.uint64)), n)
+    u[1, 1::2] = u[1, 0:n - 1:2]  # every value repeated once
+    u[2, 17] = 1.0  # the top bin of the uniform map; an infinite quantile
+    got = estim.evaluate_many(_ALL_KINDS, u, 0.1, spec.quantile)
+    want = estim.evaluate_many(_ALL_KINDS, spec.quantile(u), 0.1)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert np.isinf(want[0][2])
 
 
 # --- structural properties -------------------------------------------------------------

@@ -157,6 +157,32 @@ def test_multi_shares_draws():
     assert np.array_equal(results[1], np.minimum(np.maximum(results[0], lo), hi))
 
 
+_PATH_ESTIMATORS = (estim.EstimatorConfig("plugin"),
+                    estim.EstimatorConfig("truncated", m=50),
+                    estim.EstimatorConfig("median_of_blocks", m=50, gap=50),
+                    estim.EstimatorConfig("trimmed"))
+
+
+@pytest.mark.parametrize("process, model", [
+    (dist.IID(dist.Pareto(1.0, 2.2)), corrupt.NoCorruption()),  # selected among the uniforms
+    # atoms: selecting among the uniforms would change the bits of these two
+    (dist.IID(dist.ScaledBernoulli(0.08, 0.1)), corrupt.NoCorruption()),
+    (dist.IID(dist.AtomMix(-1.0, 0.05, 0.3)), corrupt.NoCorruption()),
+    (dist.AR1(0.5), corrupt.NoCorruption()),
+    (dist.IID(dist.StudentT(2.5)), corrupt.MaxShiftGaussian(3, 5.0, 250.0)),
+    (dist.IID(dist.StudentT(2.5)), corrupt.ReplaceLargest(2, 1e3)),
+    (dist.IID(dist.StudentT(2.5)), corrupt.ReplaceIndices(frozenset({1, 7}), 1e3)),
+], ids=["iid", "scaled_bernoulli", "atom_mix", "ar1", "max_shift", "replace_largest",
+        "replace_indices"])
+def test_engine_estimates_are_the_estimators_on_the_drawn_samples(process, model):
+    n, trials = 400, 200  # three sub-batches, so two workers both run
+    samples = mc.draw_trial_samples(process, n, 23, 0, trials, model)
+    want = estim.evaluate_many(_PATH_ESTIMATORS, samples, 0.1)
+    for workers in (1, 2):
+        got = mc.run_trials_multi(process, _PATH_ESTIMATORS, 0.1, n, trials, 23, model, workers)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
 def test_estimator_precondition_reported():
     truncated = (estim.EstimatorConfig("truncated", m=250),)
     with pytest.raises(ParameterError, match="trial 0"):

@@ -14,6 +14,7 @@ def test_uniforms_deterministic():
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
 def test_uniforms_open_interval(seed):
+    # u = 1.0 is possible but has probability 2**-53 (see the unit-map tests).
     u = rng.uniforms(seed, 100_000)
     assert u.min() > 0.0
     assert u.max() < 1.0
@@ -62,3 +63,44 @@ def test_uniforms_moments():
 def test_finalize_is_python_int_safe():
     assert rng.finalize(0) == rng.finalize(2**64)
     assert 0 <= rng.finalize(123456789) < 2**64
+
+
+# --- the counter -> unit map, pinned at its edges ----------------------------------
+
+
+def _unshift(z: int, shift: int) -> int:
+    """Inverse of ``z ^= z >> shift`` on 64 bits."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _unfinalize(z: int) -> int:
+    """The counter whose SplitMix64 finalizer output is ``z``."""
+    z = _unshift(z, 31)
+    z = (z * pow(rng._MIX2, -1, 2**64)) & rng.MASK64
+    z = _unshift(z, 27)
+    z = (z * pow(rng._MIX1, -1, 2**64)) & rng.MASK64
+    return _unshift(z, 30)
+
+
+def _unit_of_bins(*bins: int) -> np.ndarray:
+    """``_counters_to_unit`` of counters whose top 53 finalized bits are ``bins``."""
+    counters = [_unfinalize(b << 11) for b in bins]
+    assert [rng.finalize(c) >> 11 for c in counters] == list(bins)
+    return rng._counters_to_unit(np.array(counters, dtype=np.uint64))
+
+
+def test_unit_map_top_bin_is_one():
+    assert _unit_of_bins(2**53 - 1)[0] == 1.0
+    assert _unit_of_bins(2**53 - 2)[0] == 1.0 - 2.0**-52
+
+
+def test_unit_map_adjacent_bins_share_above_half():
+    below = _unit_of_bins(2**52 - 2, 2**52 - 1)
+    assert below.tolist() == [(2**52 - 1.5) * 2.0**-53, (2**52 - 0.5) * 2.0**-53]
+    assert _unit_of_bins(2**52)[0] == 0.5
+    shared = _unit_of_bins(2**52 + 1, 2**52 + 2)
+    assert shared[0] == shared[1] == (2**52 + 2) * 2.0**-53
+    assert _unit_of_bins(2**52 + 3)[0] == (2**52 + 4) * 2.0**-53
