@@ -6,12 +6,21 @@ U_i ~ Normal(mu, sigma^2).  ``ReplaceLargest`` / ``ReplaceIndices`` express
 simple worst-case substitutions.  ``corruption_budget`` is the number of
 points the theory tolerates: floor(N * eps^2 / 140).
 
+Each attack is defined once, by :func:`changed_cells`: the cells it changes
+in each row and their new values.  It reads the samples X, or the uniforms U
+with X = quantile(U) for a strictly increasing ``quantile``, so that the
+Monte Carlo engine can corrupt trials it never builds.
+:func:`apply_corruption_batch` writes the same cells into X.  A model's
+numbers must be finite, so that no attack writes NaN: the engine's stand-ins
+need values that can be ordered.
+
 Indices in ``ReplaceIndices`` are 1-based (the wire format counts samples
 from 1 to N).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
@@ -29,6 +38,7 @@ __all__ = [
     "CorruptionModel",
     "apply_corruption",
     "apply_corruption_batch",
+    "changed_cells",
     "corruption_budget",
     "model_to_json",
     "model_from_json",
@@ -45,6 +55,11 @@ class NoCorruption:
     k: ClassVar[int] = 0
 
 
+def _check_finite(value: float, where: str) -> None:
+    if not math.isfinite(value):
+        raise ParameterError(f"{where}: must be finite (got {value})")
+
+
 @checked_numbers
 @dataclass(frozen=True)
 class MaxShiftGaussian:
@@ -57,6 +72,8 @@ class MaxShiftGaussian:
     def __post_init__(self):
         if self.k < 0:
             raise ParameterError(f"k: must be >= 0 (got {self.k})")
+        _check_finite(self.mu, "mu")
+        _check_finite(self.sigma, "sigma")
         if self.sigma <= 0.0:
             raise ParameterError(f"sigma: must be > 0 (got {self.sigma})")
 
@@ -72,6 +89,7 @@ class ReplaceLargest:
     def __post_init__(self):
         if self.k < 0:
             raise ParameterError(f"k: must be >= 0 (got {self.k})")
+        _check_finite(self.value, "value")
 
 
 @checked_numbers
@@ -86,6 +104,7 @@ class ReplaceIndices:
         idx = frozenset(integer(i, "indices") for i in sequence(self.indices, "indices"))
         if any(i < 1 for i in idx):
             raise ParameterError("indices: must be 1-based (>= 1)")
+        _check_finite(self.value, "value")
         object.__setattr__(self, "indices", idx)
 
     @property
@@ -112,9 +131,24 @@ def apply_corruption_batch(samples: np.ndarray, model: CorruptionModel,
                            seeds: np.ndarray) -> np.ndarray:
     """Row-wise corruption; row b uses the stream of ``seeds[b]``.
 
-    Modifies and returns ``samples`` (the Monte Carlo engine owns the buffer).
+    Writes the cells of :func:`changed_cells` into ``samples`` and returns it
+    (the Monte Carlo engine owns the buffer).
     """
-    n = samples.shape[1]
+    rows, cols, values = changed_cells(samples, model, seeds)
+    samples[rows, cols] = values
+    return samples
+
+
+def changed_cells(data: np.ndarray, model: CorruptionModel, seeds: np.ndarray,
+                  quantile=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells that ``model`` changes in each row of X: (rows, columns, new values).
+
+    ``data`` is X itself, or with a ``quantile`` the uniforms U of
+    X = quantile(U), which must be strictly increasing on U: then only
+    ``MaxShiftGaussian`` evaluates it, on its k head columns.  Row b uses the
+    stream of ``seeds[b]``.
+    """
+    n = data.shape[1]
     if isinstance(model, ReplaceIndices):
         need, what = max(model.indices, default=0), "indices up to"
     elif isinstance(model, (NoCorruption, MaxShiftGaussian, ReplaceLargest)):
@@ -124,16 +158,19 @@ def apply_corruption_batch(samples: np.ndarray, model: CorruptionModel,
     if need > n:
         raise ParameterError(f"corruption: N={n} is too small for {what} {need}")
     if need == 0:
-        return samples
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty, np.empty(0)
     if isinstance(model, MaxShiftGaussian):
         shocks = model.mu + model.sigma * sp.ndtri(rng.uniform_matrix(seeds, model.k))
-        np.maximum(samples[:, : model.k], shocks, out=samples[:, : model.k])
-    elif isinstance(model, ReplaceLargest):
-        order = np.argpartition(samples, n - model.k, axis=1)[:, n - model.k:]
-        np.put_along_axis(samples, order, model.value, axis=1)
+        head = data[:, : model.k] if quantile is None else quantile(data[:, : model.k])
+        rows, cols = np.nonzero(shocks > head)
+        return rows, cols, shocks[rows, cols]
+    if isinstance(model, ReplaceLargest):
+        cols = np.argpartition(data, n - model.k, axis=1)[:, n - model.k:].ravel()
     else:
-        samples[:, np.array(sorted(model.indices), dtype=np.int64) - 1] = model.value
-    return samples
+        cols = np.tile(np.array(sorted(model.indices), dtype=np.intp) - 1, len(data))
+    rows = np.repeat(np.arange(len(data)), model.k)
+    return rows, cols, np.full(rows.size, model.value)
 
 
 def corruption_budget(n: int, eps: float) -> int:

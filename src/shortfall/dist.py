@@ -66,10 +66,14 @@ def _family(cls):
     quantile function is flat on an interval of levels: distinct levels map to
     equal values.  Every other family's quantile function is strictly
     increasing, which lets the Monte Carlo engine select order statistics
-    among the uniforms (see :mod:`shortfall.mc`).
+    among the uniforms (see :mod:`shortfall.mc`).  A family declared
+    ``cheap_quantile`` evaluates its quantile in a few vectorized passes,
+    which costs less than placing stand-ins for a corrupted trial, so the
+    engine builds its corrupted samples instead.
     """
     cls = checked_numbers(cls)
     cls.has_atoms = getattr(cls, "has_atoms", False)
+    cls.cheap_quantile = getattr(cls, "cheap_quantile", False)
     unbounded_below = getattr(cls, "unbounded_below", False)
     quantile = vars(cls)["quantile"]
 
@@ -251,6 +255,7 @@ class Lognormal:
 class Pareto:
     """Pareto distribution: F(t) = 1 - (x0/t)^lam on [x0, inf)."""
 
+    cheap_quantile: ClassVar[bool] = True  # one subtraction, one power, one product
     x0: float
     lam: float
 

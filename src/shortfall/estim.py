@@ -27,15 +27,16 @@ block estimates of each block layout once; the Monte Carlo engine uses it.
 
 Every estimator reads only a top segment of its partitioned sample (of each
 block, for the block estimates).  The batch kernels and :func:`evaluate_many`
-therefore take an optional ``transform``: a vectorized nondecreasing map ``q``
-such that the estimates are those of ``q(samples)``, while ``q`` is applied
-only to the segments read.  The order statistics of ``q(U)`` are ``q`` of the
-order statistics of ``U``, so any nondecreasing ``q`` gives the same estimates
-up to the order of the sums.  Where ``q`` is strictly increasing on the given
-points, partitioning ``U`` makes the same comparisons as partitioning
-``q(U)``, the segments hold the same values in the same order, and the
-results have the same bits.  The Monte Carlo engine passes a family's
-quantile function with a matrix of uniforms.
+therefore take an optional ``transform``: a vectorized map ``q``, applied
+element by element, such that the estimates are those of ``q(samples)``,
+while ``q`` is applied only to the segments read.  The contract is that ``q``
+is order-preserving within each row: for two entries a, b of one row,
+q(a) < q(b) exactly when a < b, and q(a) == q(b) exactly when a == b.  Then
+partitioning the row makes the same comparisons as partitioning its image,
+the segments hold the same values in the same order, and the results have
+the same bits.  The Monte Carlo engine passes a family's quantile function
+with a matrix of uniforms, or a map that also sends the stand-in keys of
+corrupted cells to their values.
 """
 
 from __future__ import annotations

@@ -15,14 +15,21 @@ Trials ``[0, trials)`` are cut once into row-wise vectorized sub-batches of
 Worker processes (no pool at one worker) take the list in near-equal
 contiguous chunks; results are concatenated in trial order.
 
-A sub-batch of an i.i.d. process without corruption, from a family without
-atoms, never builds its sample matrix X = quantile(U): the estimators
-partition the uniforms U and apply the quantile function only to the top
-segments they read (20–30 % of the points at alpha = 0.1; see
-:mod:`shortfall.estim`).  The quantile function is strictly increasing there,
-so the estimates have the bits of the estimators on X.  An AR(1) process, a
-family with atoms (distinct levels map to one value) and every corruption
-model (it acts on X) take the X path through :func:`draw_trial_samples`.
+A sub-batch of an i.i.d. process from a family without atoms never builds
+its sample matrix X = quantile(U): the estimators partition the uniforms U
+and apply the quantile function only to the top segments they read (20–30 %
+of the points at alpha = 0.1; see :mod:`shortfall.estim`).  The quantile
+function is strictly increasing there, so the estimates have the bits of the
+estimators on X.  A corruption model names the cells it changes from U (see
+:func:`shortfall.corrupt.changed_cells`), and each changed cell gets a
+stand-in key in U that compares with its row as the new value compares with
+the row's samples; the transform maps the keys back to the values (see
+:func:`_stand_ins`).  A sub-batch for which no such keys exist takes the
+sample path, with the same bits.  An AR(1) process, a family with atoms
+(distinct levels map to one value), and a corrupted trial whose stand-ins
+would cost more than its quantile (a ``cheap_quantile`` family, or an attack
+on more than a 24th of the row) take the sample path through
+:func:`draw_trial_samples`.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from functools import partial
 import numpy as np
 
 from . import estim, functionals, rng
-from .corrupt import CorruptionModel, NoCorruption, apply_corruption_batch, model_from_json, model_to_json
+from .corrupt import (CorruptionModel, NoCorruption, apply_corruption_batch, changed_cells,
+                      model_from_json, model_to_json)
 from .dist import AR1, IID, ProcessSpec, ar1_paths, process_from_json, process_to_json, sample_matrix
 from .errors import ParameterError, check_alpha, check_fields, checked_numbers, integer, sequence
 from .estim import EstimatorConfig
@@ -64,6 +72,12 @@ CORRUPTION_STREAM = 0x636F7272
 #: Elements per sub-batch: 256 KB per float64 temporary, so the temporaries of
 #: a sub-batch fit a 2 MB per-core L2 (much smaller pays more in call overhead).
 _SUB_BATCH_ELEMENTS = 1 << 15
+
+#: Levels on each side of the cdf's guess that the stand-in search checks: the
+#: cdf of each catalog family lands within four levels of the answer nearly
+#: always, and a miss sends its sub-batch down the sample path.
+_LEVEL_REACH = 5
+_LEVEL_WINDOW = np.arange(-_LEVEL_REACH, _LEVEL_REACH + 1.0)[:, None]
 
 
 @checked_numbers
@@ -211,12 +225,114 @@ def _run_batch(process: ProcessSpec, estimators: tuple[EstimatorConfig, ...],
                rows: int, trials: int, t_start: int) -> list[np.ndarray]:
     """Trials ``[t_start, min(t_start + rows, trials))``: one sub-batch."""
     t_stop = min(t_start + rows, trials)
-    if isinstance(process, IID) and isinstance(corruption, NoCorruption) and not process.dist.has_atoms:
+    if _on_uniforms(process, corruption, n):
         seeds = rng.split_array(master_seed, n, np.arange(t_start, t_stop, dtype=np.uint64))
         u = rng.uniform_matrix(seeds, n)
-        return estim.evaluate_many(estimators, u, alpha, process.dist.quantile)
+        if isinstance(corruption, NoCorruption):
+            return estim.evaluate_many(estimators, u, alpha, process.dist.quantile)
+        cells = changed_cells(u, corruption, rng.split_from(seeds, CORRUPTION_STREAM),
+                              process.dist.quantile)
+        transform = _stand_ins(u, cells, process.dist)
+        if transform is not None:
+            return estim.evaluate_many(estimators, u, alpha, transform)
     samples = draw_trial_samples(process, n, master_seed, t_start, t_stop, corruption)
     return estim.evaluate_many(estimators, samples, alpha)
+
+
+def _on_uniforms(process: ProcessSpec, corruption: CorruptionModel, n: int) -> bool:
+    """Whether a sub-batch runs on the uniforms (module docstring)."""
+    if not isinstance(process, IID) or process.dist.has_atoms:
+        return False
+    if isinstance(corruption, NoCorruption):
+        return True
+    # a changed cell costs the stand-ins up to one quantile window and one head
+    # point; past half a row that is more than the uniforms save
+    return (not process.dist.cheap_quantile
+            and (_LEVEL_WINDOW.size + 1) * corruption.k <= n // 2)
+
+
+def _stand_ins(u: np.ndarray, cells, family):
+    """Write a stand-in key into ``u`` for each changed cell; the transform that reads them.
+
+    The key of a cell compares with the other points of its row as its new
+    value compares with their samples, so the estimators on ``u`` with the
+    returned transform give the bits of the estimators on the corrupted X.
+    A value above (below) every unchanged point of its row gets a key above 1
+    (below 0), ranked by value.  Any other value v gets the smallest level L
+    with quantile(L) >= v: L itself on a tie, else the float just below L.
+    The transform maps each key that is not a level back to its value.
+    Returns None, leaving ``u`` spoilt, where no such key can be found: the
+    cdf misses L by more than ``_LEVEL_REACH`` levels, no float lies below L
+    (L = 1/2), or two different values need one key.
+    """
+    rows, cols, values = cells
+    quantile = family.quantile
+    u[rows, cols] = 1.0
+    lowest = u.min(axis=1)
+    u[rows, cols] = rng.LEVEL_MIN
+    lo, hi = quantile(np.stack([lowest, u.max(axis=1)]))
+    above = values > hi[rows]
+    stored = above | (values < lo[rows])
+    keys = np.empty_like(values)
+    outside = np.sort(values[stored])
+    rank = np.searchsorted(outside, values[stored])
+    keys[stored] = np.where(above[stored], rank + 2.0, rank - (outside.size + 1.0))
+    inside = ~stored
+    if inside.any():
+        v = values[inside]
+        found = _reaching_levels(v, family)
+        if found is None:
+            return None
+        level, reached = found
+        tie = reached == v
+        if np.any(~tie & (level == 0.5)):
+            return None
+        keys[inside] = np.where(tie, level, np.nextafter(level, 0.0))
+        stored[inside] = ~tie
+    order = np.argsort(keys[stored])
+    table_keys, table_values = keys[stored][order], values[stored][order]
+    if np.any((table_keys[1:] == table_keys[:-1]) & (table_values[1:] != table_values[:-1])):
+        return None
+    u[rows, cols] = keys
+    if not table_keys.size:
+        return quantile
+    inner = table_keys[(table_keys > 0.0) & (table_keys < 1.0)]
+    low = table_keys[0] < 0.0
+
+    def transform(points: np.ndarray) -> np.ndarray:
+        safe = np.minimum(points, 1.0)
+        if low:
+            np.maximum(safe, rng.LEVEL_MIN, out=safe)
+        hit = safe != points
+        if inner.size:
+            hit |= np.isin(points, inner)
+        out = quantile(safe)
+        out[hit] = table_values[np.searchsorted(table_keys, points[hit])]
+        return out
+
+    return transform
+
+
+def _reaching_levels(values: np.ndarray, family):
+    """(L, quantile(L)) for each value v, where quantile(level below L) < v <= quantile(L).
+
+    One quantile call checks the ``2 * _LEVEL_REACH + 1`` levels around the
+    level of ``family.cdf(v)``, and L is the first level of that window that
+    reaches v after one that does not.  Returns None where a window holds
+    none.  Where the computed quantile is not monotone, the first such L is
+    taken: the engine already takes the quantile to be increasing on the
+    points of a trial.
+    """
+    index = rng.level_index(family.cdf(values)) + _LEVEL_WINDOW
+    window = rng.level(np.clip(index, 0, rng.LEVEL_COUNT - 1))
+    q = family.quantile(window)
+    short = q < values
+    cross = short[:-1] & ~short[1:]
+    if not cross.any(axis=0).all():
+        return None
+    first = cross.argmax(axis=0) + 1
+    columns = np.arange(values.size)
+    return window[first, columns], q[first, columns]
 
 
 def _concat(parts) -> list[np.ndarray]:

@@ -31,6 +31,16 @@ Output function
     where every family unbounded above has an infinite quantile.  Hence
     0 < u <= 1, and u = 1 has probability 2**-53.
 
+Levels
+    The values ``u`` can take are the *levels*: the 2**52 bin midpoints
+    ``(i + 1/2) * 2**-53`` below 1/2 (from ``LEVEL_MIN = 2**-54`` up to
+    ``1/2 - 2**-54``), then the even edges ``j * 2**-52`` from 1/2 up to 1.
+    One float lies strictly between two adjacent levels in [1/4, 1), none
+    between ``1/2 - 2**-54`` and ``1/2``, and more below 1/4.
+    :func:`level_index` and :func:`level` number this grid, so the previous
+    and next level are one index away; the Monte Carlo engine uses them to
+    place stand-in keys among the uniforms of a trial (see :mod:`shortfall.mc`).
+
 Seed derivation (splitting)
     Sub-streams are derived by folding integer keys into a seed:
 
@@ -61,6 +71,12 @@ _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
 
 _TO_UNIT = 2.0**-53
+
+#: The smallest level, the number of levels and the largest level below 1/2
+#: (module docstring).
+LEVEL_MIN = 2.0**-54
+LEVEL_COUNT = 2**52 + 2**51 + 1
+_LEVEL_LOW_TOP = 0.5 - 2.0**-54
 
 
 def finalize(value: int) -> int:
@@ -159,3 +175,23 @@ def uniform_matrix(seeds: np.ndarray, n: int) -> np.ndarray:
     steps = _U_GOLDEN * np.arange(1, n + 1, dtype=np.uint64)
     z = np.add.outer(np.asarray(seeds, dtype=np.uint64), steps)
     return _counters_to_unit(z)
+
+
+def level_index(p: np.ndarray) -> np.ndarray:
+    """Index of the smallest level >= ``p``, element-wise, for ``p`` in [0, 1].
+
+    Levels are numbered from 0 (``LEVEL_MIN``) to ``LEVEL_COUNT - 1`` (1.0),
+    so ``level(level_index(p))`` is the smallest level >= p, and index ``i - 1``
+    and ``i + 1`` are the previous and next level.  Indices are whole floats
+    below 2**53, and every step is exact.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    mid = np.ceil(p * 2.0**53 - 0.5)
+    edge = np.ceil(p * 2.0**52) + 2.0**51
+    return np.where(p <= _LEVEL_LOW_TOP, mid, edge)
+
+
+def level(index: np.ndarray) -> np.ndarray:
+    """The level of each index (see :func:`level_index`); index -1 gives -2**-54."""
+    k = np.asarray(index, dtype=np.float64)
+    return np.where(k < 2.0**52, (k + 0.5) * 2.0**-53, (k - 2.0**51) * 2.0**-52)

@@ -304,6 +304,13 @@ def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_co
      "config: indices: must be a list (got 5)"),
     ("curve", [], {"estimators": "plugin"}, "config: estimators: must be a list (got 'plugin')"),
     ("curve", [], {"sample_sizes": "1000"}, "config: sample_sizes: must be a list (got '1000')"),
+    # a corruption model writes values that can be ordered
+    ("curve", [], {"corruption": {"kind": "replace_indices", "indices": [1], "value": math.nan}},
+     "config: value: must be finite (got nan)"),
+    ("corrupt-demo", [], {"corruption": {"kind": "max_shift_gaussian", "k": 3, "mu": math.nan,
+                                         "sigma": math.inf}}, "config: mu: must be finite (got nan)"),
+    ("corrupt-demo", [], {"corruption": {"kind": "max_shift_gaussian", "k": 3, "mu": 5.0,
+                                         "sigma": math.inf}}, "config: sigma: must be finite (got inf)"),
 ])
 def test_bad_argument_before_output(tmp_path, capsys, trivial_config,
                                     command, flags, overrides, message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,40 @@ def test_no_corruption_has_no_settable_k():
     assert corrupt.NoCorruption().k == 0
     with pytest.raises(TypeError):
         corrupt.NoCorruption(k=5)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda bad: corrupt.ReplaceIndices(frozenset({1}), value=bad), "value"),
+    (lambda bad: corrupt.ReplaceLargest(2, value=bad), "value"),
+    (lambda bad: corrupt.MaxShiftGaussian(3, mu=bad, sigma=1.0), "mu"),
+    (lambda bad: corrupt.MaxShiftGaussian(3, mu=0.0, sigma=bad), "sigma"),
+], ids=["replace_indices_value", "replace_largest_value", "max_shift_mu", "max_shift_sigma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_numbers_must_be_finite(build, field, bad):
+    # a NaN written into a sample cannot be ordered, and makes every estimate NaN
+    with pytest.raises(ParameterError, match=f"^{field}: must be finite \\(got {bad}\\)$"):
+        build(bad)
+
+
+@pytest.mark.parametrize("model", [
+    corrupt.MaxShiftGaussian(3, 5.0, 250.0),
+    corrupt.MaxShiftGaussian(10, 1.0, 2.0),
+    corrupt.ReplaceLargest(4, 7.0),
+    corrupt.ReplaceIndices(frozenset({1, 17, 30}), 0.5),
+], ids=lambda m: type(m).__name__)
+def test_changed_cells_read_uniforms_as_samples(model):
+    # each attack is defined once: the cells it picks from U and the quantile
+    # are the cells it picks from X = quantile(U), and X takes exactly those
+    family = dist.Pareto(1.0, 2.2)
+    seeds = np.arange(40, 48, dtype=np.uint64)
+    u = rng.uniform_matrix(seeds, 30)
+    x = family.quantile(u)
+    from_u = corrupt.changed_cells(u, model, seeds, family.quantile)
+    from_x = corrupt.changed_cells(x, model, seeds)
+    assert all(np.array_equal(a, b) for a, b in zip(from_u, from_x))
+    rows, cols, values = from_x
+    corrupted = corrupt.apply_corruption_batch(x.copy(), model, seeds)
+    changed = np.zeros(x.shape, dtype=bool)
+    changed[rows, cols] = True
+    assert np.array_equal(corrupted[rows, cols], values)
+    assert np.array_equal(corrupted[~changed], x[~changed])

@@ -163,24 +163,120 @@ _PATH_ESTIMATORS = (estim.EstimatorConfig("plugin"),
                     estim.EstimatorConfig("trimmed"))
 
 
-@pytest.mark.parametrize("process, model", [
-    (dist.IID(dist.Pareto(1.0, 2.2)), corrupt.NoCorruption()),  # selected among the uniforms
+_PATH_FAMILIES = (dist.Normal(0.0, 1.0), dist.Logistic(0.0, 1.0), dist.Lognormal(0.0, 1.0),
+                  dist.Exponential(1.0), dist.Pareto(1.0, 2.2), dist.StudentT(2.5))
+
+
+def _attacks(family, n: int = 400) -> dict:
+    """Corruptions the uniform path must carry: values inside, above and below the samples, a tie."""
+    x = mc.draw_trial_samples(dist.IID(family), n, 23, 0, 1)[0]
+    inside = float(np.median(x))
+    return {
+        "max_shift_3": corrupt.MaxShiftGaussian(3, 5.0, 250.0),
+        "max_shift_quarter": corrupt.MaxShiftGaussian(n // 4, inside, 1.0),
+        "replace_largest": corrupt.ReplaceLargest(5, inside),
+        "inside": corrupt.ReplaceIndices(frozenset({1, 7, n}), inside),
+        "above": corrupt.ReplaceIndices(frozenset({2, 9}), 1e300),
+        "below_support": corrupt.ReplaceIndices(frozenset({3}), -1e308),
+        "tie": corrupt.ReplaceIndices(frozenset({1}), float(x[5])),  # point 6 of trial 0
+    }
+
+
+_PATH_CASES = [
+    pytest.param(dist.IID(dist.Pareto(1.0, 2.2)), corrupt.NoCorruption(), False, id="iid"),
     # atoms: selecting among the uniforms would change the bits of these two
-    (dist.IID(dist.ScaledBernoulli(0.08, 0.1)), corrupt.NoCorruption()),
-    (dist.IID(dist.AtomMix(-1.0, 0.05, 0.3)), corrupt.NoCorruption()),
-    (dist.AR1(0.5), corrupt.NoCorruption()),
-    (dist.IID(dist.StudentT(2.5)), corrupt.MaxShiftGaussian(3, 5.0, 250.0)),
-    (dist.IID(dist.StudentT(2.5)), corrupt.ReplaceLargest(2, 1e3)),
-    (dist.IID(dist.StudentT(2.5)), corrupt.ReplaceIndices(frozenset({1, 7}), 1e3)),
-], ids=["iid", "scaled_bernoulli", "atom_mix", "ar1", "max_shift", "replace_largest",
-        "replace_indices"])
-def test_engine_estimates_are_the_estimators_on_the_drawn_samples(process, model):
+    pytest.param(dist.IID(dist.ScaledBernoulli(0.08, 0.1)), corrupt.NoCorruption(), True,
+                 id="scaled_bernoulli"),
+    pytest.param(dist.IID(dist.AtomMix(-1.0, 0.05, 0.3)), corrupt.NoCorruption(), True, id="atom_mix"),
+    pytest.param(dist.AR1(0.5), corrupt.NoCorruption(), True, id="ar1"),
+    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.MaxShiftGaussian(3, 5.0, 250.0), False,
+                 id="max_shift"),
+    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.ReplaceLargest(2, 1e3), False,
+                 id="replace_largest"),
+    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.ReplaceIndices(frozenset({1, 7}), 1e3), False,
+                 id="replace_indices"),
+    # corrupted trials keep their uniforms, with stand-ins, unless the stand-ins cost more:
+    # for a cheap quantile, or an attack on a quarter of the row
+    *(pytest.param(dist.IID(family), model, family.cheap_quantile or name == "max_shift_quarter",
+                   id=f"{type(family).__name__.lower()}-{name}")
+      for family in _PATH_FAMILIES for name, model in _attacks(family).items()),
+]
+
+
+@pytest.mark.parametrize("process, model, sample_path", _PATH_CASES)
+def test_engine_estimates_are_the_estimators_on_the_drawn_samples(monkeypatch, process, model,
+                                                                  sample_path):
     n, trials = 400, 200  # three sub-batches, so two workers both run
-    samples = mc.draw_trial_samples(process, n, 23, 0, trials, model)
+    draw = mc.draw_trial_samples
+    samples = draw(process, n, 23, 0, trials, model)
     want = estim.evaluate_many(_PATH_ESTIMATORS, samples, 0.1)
+    drawn = []
+    monkeypatch.setattr(mc, "draw_trial_samples", lambda *args: drawn.append(args) or draw(*args))
     for workers in (1, 2):
         got = mc.run_trials_multi(process, _PATH_ESTIMATORS, 0.1, n, trials, 23, model, workers)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert bool(drawn) == sample_path  # seen from this process, so at one worker
+    assert bool(drawn) == sample_path
+
+
+@pytest.mark.parametrize("family", _PATH_FAMILIES, ids=lambda f: type(f).__name__.lower())
+@pytest.mark.parametrize("attack", list(_attacks(dist.Normal(0.0, 1.0))))
+def test_stand_ins_give_the_bits_of_the_corrupted_samples(family, attack):
+    # also where the engine builds the samples instead (see the engine test)
+    n, trials = 400, 81
+    model = _attacks(family)[attack]
+    seeds = rng.split_array(23, n, np.arange(trials, dtype=np.uint64))
+    u = rng.uniform_matrix(seeds, n)
+    cells = corrupt.changed_cells(u, model, rng.split_from(seeds, mc.CORRUPTION_STREAM), family.quantile)
+    transform = mc._stand_ins(u, cells, family)
+    assert transform is not None
+    got = estim.evaluate_many(_PATH_ESTIMATORS, u, 0.1, transform)
+    samples = mc.draw_trial_samples(dist.IID(family), n, 23, 0, trials, model)
+    want = estim.evaluate_many(_PATH_ESTIMATORS, samples, 0.1)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_stand_ins_decline_a_key_they_cannot_give():
+    family = dist.Normal(0.0, 1.0)
+    u = rng.uniform_matrix(np.arange(3, dtype=np.uint64), 400)
+    below, level = family.quantile(np.array([0.75 - 2.0**-52, 0.75]))
+    first = np.nextafter(below, np.inf)
+    second = np.nextafter(first, np.inf)
+    assert second < level  # two values that both need the one float below 0.75
+    rows, cols = np.array([0, 2]), np.array([4, 9])
+    for values in ([first, first], [first, second]):
+        keys = u.copy()
+        transform = mc._stand_ins(keys, (rows, cols, np.array(values)), family)
+        if values[0] == values[1]:
+            assert keys[rows, cols].tolist() == [np.nextafter(0.75, 0.0)] * 2
+            assert transform(keys[rows, cols]).tolist() == values
+        else:
+            assert transform is None
+    # between the quantiles of 1/2 - 2**-54 and 1/2 no float is free
+    assert family.quantile(0.5) == 0.0 and family.quantile(0.5 - 2.0**-54) < -1e-17
+    assert mc._stand_ins(u.copy(), (rows[:1], cols[:1], np.array([-1e-17])), family) is None
+
+
+def test_declined_sub_batch_keeps_the_sample_path_bits(monkeypatch):
+    # shocks this narrow fall between the quantiles of two adjacent levels
+    family = dist.Normal(0.0, 1.0)
+    below, level = family.quantile(np.array([0.75 - 2.0**-52, 0.75]))
+    model = corrupt.MaxShiftGaussian(3, 0.5 * (below + level), 1e-16)
+    process, n, trials = dist.IID(family), 400, 200
+    want = estim.evaluate_many(_PATH_ESTIMATORS, mc.draw_trial_samples(process, n, 5, 0, trials, model),
+                               0.1)
+    declined = []
+    stand_ins = mc._stand_ins
+
+    def spy(*args):
+        transform = stand_ins(*args)
+        declined.append(transform is None)
+        return transform
+
+    monkeypatch.setattr(mc, "_stand_ins", spy)
+    got = mc.run_trials_multi(process, _PATH_ESTIMATORS, 0.1, n, trials, 5, model, workers=1)
+    assert declined == [True, True, True]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_estimator_precondition_reported():

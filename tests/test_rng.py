@@ -104,3 +104,45 @@ def test_unit_map_adjacent_bins_share_above_half():
     shared = _unit_of_bins(2**52 + 1, 2**52 + 2)
     assert shared[0] == shared[1] == (2**52 + 2) * 2.0**-53
     assert _unit_of_bins(2**52 + 3)[0] == (2**52 + 4) * 2.0**-53
+
+
+# --- the grid of levels ------------------------------------------------------------
+
+_EDGE_LEVELS = [rng.LEVEL_MIN, 0.25 - 2.0**-54, 0.25 + 2.0**-54, 0.5 - 2.0**-54, 0.5,
+                0.5 + 2.0**-52, 1.0 - 2.0**-52, 1.0]
+
+
+def test_drawn_uniforms_are_fixed_points_of_the_level_ceiling():
+    seeds = np.array([20260811, 0, 1, 2**64 - 1], dtype=np.uint64)  # the golden seeds
+    u = rng.uniform_matrix(seeds, 1000)
+    assert np.array_equal(rng.level(rng.level_index(u)), u)
+    shared = _unit_of_bins(2**52, 2**52 + 1, 2**52 + 2, 2**53 - 2, 2**53 - 1, 0, 2**52 - 1)
+    assert np.array_equal(rng.level(rng.level_index(shared)), shared)
+    assert rng.level_index(shared).tolist() == [2**52, 2**52 + 1, 2**52 + 1, rng.LEVEL_COUNT - 2,
+                                                rng.LEVEL_COUNT - 1, 0, 2**52 - 1]
+
+
+def test_previous_and_next_level_round_trip():
+    levels = np.array(_EDGE_LEVELS)
+    index = rng.level_index(levels)
+    assert np.array_equal(rng.level(index), levels)
+    prev, nxt = rng.level(index - 1), rng.level(index + 1)
+    assert np.array_equal(rng.level(rng.level_index(prev[1:]) + 1), levels[1:])
+    assert np.array_equal(rng.level(rng.level_index(nxt[:-1]) - 1), levels[:-1])
+    assert rng.level(rng.level_index(0.5 - 2.0**-54) + 1) == 0.5
+    assert rng.level(rng.level_index(0.5) - 1) == 0.5 - 2.0**-54
+    assert rng.level(rng.level_index(1.0 - 2.0**-52) + 1) == 1.0
+    assert rng.level(rng.level_index(1.0) - 1) == 1.0 - 2.0**-52
+    assert rng.level(-1.0) < 0.0 and rng.level(rng.LEVEL_COUNT) > 1.0  # beyond either end
+    # one float lies between adjacent levels from 1/4 up, none between 1/2 - 2**-54 and 1/2
+    gaps = np.nextafter(levels[1:], 0.0)
+    free = levels[1:] != 0.5
+    assert np.array_equal(gaps > prev[1:], free)
+    assert np.array_equal(rng.level(rng.level_index(gaps[free])), levels[1:][free])
+
+
+def test_level_ceiling_of_any_number():
+    p = np.concatenate([np.random.default_rng(3).random(10_000), [0.0, 5e-324, 2.0**-54, 0.5, 1.0]])
+    level = rng.level(rng.level_index(p))
+    below = rng.level(rng.level_index(p) - 1)
+    assert np.all(level >= p) and np.all(below < p)
