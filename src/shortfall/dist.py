@@ -79,10 +79,12 @@ def _family(cls):
 
     @functools.wraps(quantile)
     def checked_quantile(self, u):
-        if np.any(u < 0.0) or np.any(u > 1.0):
-            raise ParameterError("u: quantile level must lie in [0, 1]")
-        if unbounded_below and np.any(u == 0.0):
-            raise ParameterError("u: quantile(0) undefined for a distribution unbounded below")
+        if u.size:  # fmin and fmax skip NaN
+            lowest = np.fmin.reduce(u, axis=None)
+            if lowest < 0.0 or np.fmax.reduce(u, axis=None) > 1.0:
+                raise ParameterError("u: quantile level must lie in [0, 1]")
+            if unbounded_below and lowest == 0.0:
+                raise ParameterError("u: quantile(0) undefined for a distribution unbounded below")
         return quantile(self, u)
 
     def array_in_scalar_out(method):

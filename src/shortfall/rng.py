@@ -18,28 +18,24 @@ Output function
         z ^= z >> 27;  z *= 0x94D049BB133111EB
         z ^= z >> 31
 
-    (all arithmetic mod 2**64) and mapped to a double in (0, 1] via
+    (all arithmetic mod 2**64).  Its top 53 bits ``b = z >> 11`` select one of
+    2**53 equal-width bins, and :func:`unit` maps the bin to a double in (0, 1]
 
-        u = fl((z >> 11) + 0.5) * 2**-53
+        u = fl(b + 0.5) * 2**-53
 
-    where ``fl`` rounds to the nearest double, ties to even.  The top 53 bits
-    select one of 2**53 equal-width bins.  Below 1/2 (``z >> 11 < 2**52``) ``u``
-    is the bin midpoint.  From 1/2 up the midpoint is not a double and rounds
-    to the even one of the bin's two edges, ``i * 2**-53`` with ``i`` even.
-    So for 2**52 < i < 2**53 the adjacent bins ``i - 1`` and ``i`` share one
-    ``u``, and the top bin ``z >> 11 = 2**53 - 1`` gives exactly ``u = 1.0``,
-    where every family unbounded above has an infinite quantile.  Hence
-    0 < u <= 1, and u = 1 has probability 2**-53.
+    where ``fl`` rounds to the nearest double, ties to even.  Below 1/2
+    (``b < 2**52``) ``u`` is the bin midpoint.  From 1/2 up the midpoint is not
+    a double and rounds to the even one of the bin's two edges, ``i * 2**-53``
+    with ``i`` even.  So for 2**52 < i < 2**53 the adjacent bins ``i - 1`` and
+    ``i`` share one ``u``, and the top bin ``b = 2**53 - 1`` gives exactly
+    ``u = 1.0``, where every family unbounded above has an infinite quantile.
+    Hence 0 < u <= 1, and u = 1 has probability 2**-53.
 
 Levels
-    The values ``u`` can take are the *levels*: the 2**52 bin midpoints
-    ``(i + 1/2) * 2**-53`` below 1/2 (from ``LEVEL_MIN = 2**-54`` up to
-    ``1/2 - 2**-54``), then the even edges ``j * 2**-52`` from 1/2 up to 1.
-    One float lies strictly between two adjacent levels in [1/4, 1), none
-    between ``1/2 - 2**-54`` and ``1/2``, and more below 1/4.
-    :func:`level_index` and :func:`level` number this grid, so the previous
-    and next level are one index away; the Monte Carlo engine uses them to
-    place stand-in keys among the uniforms of a trial (see :mod:`shortfall.mc`).
+    The *levels* are the values of ``unit`` on the bins, from ``LEVEL_MIN =
+    unit(0) = 2**-54`` up to 1, which the Monte Carlo engine reads off this map
+    to place stand-in keys among the uniforms of a trial (see
+    :mod:`shortfall.mc`).
 
 Seed derivation (splitting)
     Sub-streams are derived by folding integer keys into a seed:
@@ -72,11 +68,8 @@ _U_MIX2 = np.uint64(_MIX2)
 
 _TO_UNIT = 2.0**-53
 
-#: The smallest level, the number of levels and the largest level below 1/2
-#: (module docstring).
+#: The smallest level, ``unit(0)`` (module docstring).
 LEVEL_MIN = 2.0**-54
-LEVEL_COUNT = 2**52 + 2**51 + 1
-_LEVEL_LOW_TOP = 0.5 - 2.0**-54
 
 
 def finalize(value: int) -> int:
@@ -136,62 +129,37 @@ def split_from(seeds: np.ndarray, key: int) -> np.ndarray:
     return _finalize_array(z)
 
 
-def _counters_to_unit(z: np.ndarray) -> np.ndarray:
-    """Finalize uint64 counters in place and map to doubles in (0, 1].
+def unit(bins: np.ndarray) -> np.ndarray:
+    """The level ``fl(b + 0.5) * 2**-53`` of each bin ``b`` in [0, 2**53), a new float64 array.
 
     See the module docstring: from 1/2 up, ``+ 0.5`` rounds to even, so two
-    adjacent bins share a value and the top bin gives exactly 1.0.
+    adjacent bins share a level and the top bin gives exactly 1.0.
     """
-    z = _finalize_array(z)
-    np.right_shift(z, np.uint64(11), out=z)
-    u = z.astype(np.float64)
+    u = np.asarray(bins).astype(np.float64)
     u += 0.5
     u *= _TO_UNIT
     return u
 
 
-def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
+def _counters_to_unit(z: np.ndarray) -> np.ndarray:
+    """Finalize uint64 counters in place and map their bins to doubles in (0, 1]."""
+    return unit(np.right_shift(_finalize_array(z), np.uint64(11), out=z))
+
+
+def uniforms(seed: int, n: int) -> np.ndarray:
     """``n`` uniforms in (0, 1] from the stream of ``seed``.
 
-    Each is ``fl((z >> 11) + 0.5) * 2**-53`` of its finalized counter ``z``
-    (module docstring): a bin midpoint below 1/2, an even bin edge from 1/2
-    up, and exactly 1.0 with probability 2**-53.
-
-    ``start`` skips that many values, so
-    ``uniforms(s, n)[a:] == uniforms(s, n - a, start=a)``.
+    Each is ``unit(z >> 11)`` of its finalized counter ``z`` (module
+    docstring): a bin midpoint below 1/2, an even bin edge from 1/2 up, and
+    exactly 1.0 with probability 2**-53.
     """
-    if n < 0:
-        raise ParameterError(f"n: must be >= 0 (got {n})")
-    offsets = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + _U_GOLDEN * offsets
-    return _counters_to_unit(z)
+    return uniform_matrix(np.array([seed & MASK64], dtype=np.uint64), n)[0]
 
 
 def uniform_matrix(seeds: np.ndarray, n: int) -> np.ndarray:
-    """Row ``b`` holds ``uniforms(seeds[b], n)``; shape (len(seeds), n).
-
-    The values lie in (0, 1] by the same map as :func:`uniforms`.
-    """
+    """Row ``b`` holds ``uniforms(seeds[b], n)``; shape (len(seeds), n)."""
+    if n < 0:
+        raise ParameterError(f"n: must be >= 0 (got {n})")
     steps = _U_GOLDEN * np.arange(1, n + 1, dtype=np.uint64)
     z = np.add.outer(np.asarray(seeds, dtype=np.uint64), steps)
     return _counters_to_unit(z)
-
-
-def level_index(p: np.ndarray) -> np.ndarray:
-    """Index of the smallest level >= ``p``, element-wise, for ``p`` in [0, 1].
-
-    Levels are numbered from 0 (``LEVEL_MIN``) to ``LEVEL_COUNT - 1`` (1.0),
-    so ``level(level_index(p))`` is the smallest level >= p, and index ``i - 1``
-    and ``i + 1`` are the previous and next level.  Indices are whole floats
-    below 2**53, and every step is exact.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    mid = np.ceil(p * 2.0**53 - 0.5)
-    edge = np.ceil(p * 2.0**52) + 2.0**51
-    return np.where(p <= _LEVEL_LOW_TOP, mid, edge)
-
-
-def level(index: np.ndarray) -> np.ndarray:
-    """The level of each index (see :func:`level_index`); index -1 gives -2**-54."""
-    k = np.asarray(index, dtype=np.float64)
-    return np.where(k < 2.0**52, (k + 0.5) * 2.0**-53, (k - 2.0**51) * 2.0**-52)

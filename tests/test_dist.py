@@ -93,9 +93,10 @@ def test_invalid_parameters_name_field(ctor, field):
 
 def test_quantile_at_zero():
     for spec in (dist.Normal(), dist.StudentT(5.0), dist.Logistic()):
-        with pytest.raises(ParameterError, match="undefined"):
-            spec.quantile(0.0)
-    assert dist.Pareto(1.0, 2.0).quantile(0.0) == 1.0
+        for zero in (0.0, -0.0):
+            with pytest.raises(ParameterError, match="undefined"):
+                spec.quantile(zero)
+    assert dist.Pareto(1.0, 2.0).quantile(0.0) == dist.Pareto(1.0, 2.0).quantile(-0.0) == 1.0
     assert dist.Exponential(1.0).quantile(0.0) == 0.0
     assert dist.Lognormal().quantile(0.0) == 0.0
     assert dist.ScaledBernoulli(0.3, 2.0).quantile(0.0) == 0.0
@@ -119,7 +120,7 @@ def test_pareto_quantile_bits_and_input_untouched(x0):
 
 def test_quantile_bad_levels():
     for spec in CONTINUOUS + ATOMIC + [dist.AtomMix(-0.1, 0.1, 0.02)]:
-        for u in (1.5, -0.1, np.array([0.5, 2.0])):
+        for u in (1.5, -0.1, np.array([0.5, 2.0]), np.array([math.nan, -0.5])):
             with pytest.raises(ParameterError, match=r"\[0, 1\]"):
                 spec.quantile(u)
         assert spec.quantile(np.empty(0)).shape == (0,)  # empty arrays and NaN pass

@@ -244,17 +244,16 @@ def test_stand_ins_decline_a_key_they_cannot_give():
     second = np.nextafter(first, np.inf)
     assert second < level  # two values that both need the one float below 0.75
     rows, cols = np.array([0, 2]), np.array([4, 9])
-    for values in ([first, first], [first, second]):
-        keys = u.copy()
-        transform = mc._stand_ins(keys, (rows, cols, np.array(values)), family)
-        if values[0] == values[1]:
-            assert keys[rows, cols].tolist() == [np.nextafter(0.75, 0.0)] * 2
-            assert transform(keys[rows, cols]).tolist() == values
-        else:
-            assert transform is None
-    # between the quantiles of 1/2 - 2**-54 and 1/2 no float is free
+    keys = u.copy()
+    transform = mc._stand_ins(keys, (rows, cols, np.array([first, first])), family)
+    assert keys[rows, cols].tolist() == [np.nextafter(0.75, 0.0)] * 2
+    assert transform(keys[rows, cols]).tolist() == [first, first]
+    # between the quantiles of 1/2 - 2**-54 and 1/2 no float is free; no level lies below bin 0
     assert family.quantile(0.5) == 0.0 and family.quantile(0.5 - 2.0**-54) < -1e-17
-    assert mc._stand_ins(u.copy(), (rows[:1], cols[:1], np.array([-1e-17])), family) is None
+    for values in ([first, second], [-1e-17, 1e3], [family.quantile(rng.LEVEL_MIN), 1e3]):
+        keys = u.copy()
+        assert mc._stand_ins(keys, (rows, cols, np.array(values)), family) is None
+        assert keys.tobytes() == u.tobytes()  # a decline leaves u as drawn
 
 
 def test_declined_sub_batch_keeps_the_sample_path_bits(monkeypatch):

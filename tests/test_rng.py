@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shortfall import rng
+from shortfall import mc, rng
 from shortfall.errors import ParameterError
 
 
@@ -20,11 +20,12 @@ def test_uniforms_open_interval(seed):
     assert u.max() < 1.0
 
 
-def test_uniforms_start_offset():
-    full = rng.uniforms(77, 50)
-    assert np.array_equal(full[20:], rng.uniforms(77, 30, start=20))
-    with pytest.raises(ParameterError, match=r"^n: must be >= 0 \(got -1\)$"):
-        rng.uniforms(77, -1)
+def test_negative_length_rejected():
+    seeds = np.arange(3, dtype=np.uint64)
+    for draw in (lambda n: rng.uniforms(77, n), lambda n: rng.uniform_matrix(seeds, n)):
+        with pytest.raises(ParameterError, match=r"^n: must be >= 0 \(got -1\)$"):
+            draw(-1)
+        assert draw(0).size == 0
 
 
 def test_uniform_matrix_matches_streams():
@@ -106,43 +107,55 @@ def test_unit_map_adjacent_bins_share_above_half():
     assert _unit_of_bins(2**52 + 3)[0] == (2**52 + 4) * 2.0**-53
 
 
-# --- the grid of levels ------------------------------------------------------------
-
-_EDGE_LEVELS = [rng.LEVEL_MIN, 0.25 - 2.0**-54, 0.25 + 2.0**-54, 0.5 - 2.0**-54, 0.5,
-                0.5 + 2.0**-52, 1.0 - 2.0**-52, 1.0]
+# --- the levels: the unit map on every bin ----------------------------------------
 
 
-def test_drawn_uniforms_are_fixed_points_of_the_level_ceiling():
-    seeds = np.array([20260811, 0, 1, 2**64 - 1], dtype=np.uint64)  # the golden seeds
-    u = rng.uniform_matrix(seeds, 1000)
-    assert np.array_equal(rng.level(rng.level_index(u)), u)
-    shared = _unit_of_bins(2**52, 2**52 + 1, 2**52 + 2, 2**53 - 2, 2**53 - 1, 0, 2**52 - 1)
-    assert np.array_equal(rng.level(rng.level_index(shared)), shared)
-    assert rng.level_index(shared).tolist() == [2**52, 2**52 + 1, 2**52 + 1, rng.LEVEL_COUNT - 2,
-                                                rng.LEVEL_COUNT - 1, 0, 2**52 - 1]
+def test_unit_is_the_generator_map():
+    bins = [0, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2, 2**53 - 1]
+    assert np.array_equal(rng.unit(np.array(bins, dtype=np.uint64)), _unit_of_bins(*bins))
+    assert np.array_equal(rng.unit(np.array(bins, dtype=np.float64)), _unit_of_bins(*bins))
+    assert rng.unit(np.array([0]))[0] == rng.LEVEL_MIN
 
 
-def test_previous_and_next_level_round_trip():
-    levels = np.array(_EDGE_LEVELS)
-    index = rng.level_index(levels)
-    assert np.array_equal(rng.level(index), levels)
-    prev, nxt = rng.level(index - 1), rng.level(index + 1)
-    assert np.array_equal(rng.level(rng.level_index(prev[1:]) + 1), levels[1:])
-    assert np.array_equal(rng.level(rng.level_index(nxt[:-1]) - 1), levels[:-1])
-    assert rng.level(rng.level_index(0.5 - 2.0**-54) + 1) == 0.5
-    assert rng.level(rng.level_index(0.5) - 1) == 0.5 - 2.0**-54
-    assert rng.level(rng.level_index(1.0 - 2.0**-52) + 1) == 1.0
-    assert rng.level(rng.level_index(1.0) - 1) == 1.0 - 2.0**-52
-    assert rng.level(-1.0) < 0.0 and rng.level(rng.LEVEL_COUNT) > 1.0  # beyond either end
-    # one float lies between adjacent levels from 1/4 up, none between 1/2 - 2**-54 and 1/2
-    gaps = np.nextafter(levels[1:], 0.0)
-    free = levels[1:] != 0.5
-    assert np.array_equal(gaps > prev[1:], free)
-    assert np.array_equal(rng.level(rng.level_index(gaps[free])), levels[1:][free])
+def test_one_float_between_adjacent_levels():
+    # the stand-in keys take the float just below a level, which must not be a level
+    edges = (1, 2**51, 2**52, 2**53 - 4)
+    for bins in (np.arange(b - 1, b + 4, dtype=np.uint64) for b in edges):
+        levels = np.unique(rng.unit(bins))
+        prev, level = levels[:-1], levels[1:]
+        below = np.nextafter(level, 0.0)
+        assert np.array_equal(below == prev, level == 0.5)  # none between 1/2 - 2**-54 and 1/2
+        one = (prev >= 0.25) & (level != 0.5)
+        assert np.array_equal(np.nextafter(below[one], 0.0), prev[one])  # one from 1/4 up
+
+
+def _level_ceiling(p: np.ndarray) -> np.ndarray:
+    """The smallest level >= p: the midpoints (i + 1/2) * 2**-53 below 1/2, then j * 2**-52."""
+    return np.where(p <= 0.5 - 2.0**-54, (np.ceil(p * 2.0**53 - 0.5) + 0.5) * 2.0**-53,
+                    np.ceil(p * 2.0**52) * 2.0**-52)
+
+
+class _Identity:
+    """A family whose cdf and quantile are the identity; it keeps the last window it saw."""
+
+    def cdf(self, p):
+        return p
+
+    def quantile(self, u):
+        self.window = u
+        return u
 
 
 def test_level_ceiling_of_any_number():
-    p = np.concatenate([np.random.default_rng(3).random(10_000), [0.0, 5e-324, 2.0**-54, 0.5, 1.0]])
-    level = rng.level(rng.level_index(p))
-    below = rng.level(rng.level_index(p) - 1)
-    assert np.all(level >= p) and np.all(below < p)
+    drawn = rng.uniform_matrix(np.array([20260811, 0, 1, 2**64 - 1], dtype=np.uint64), 1000)
+    assert np.array_equal(_level_ceiling(drawn), drawn)  # every drawn uniform is a level
+    p = np.concatenate([np.random.default_rng(3).random(10_000),
+                        [0.0, 5e-324, 2.0**-54, 2.0**-54 + 2.0**-60, 0.25 - 2.0**-55, 0.25,
+                         0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53, 1.0]])
+    family, ceiling = _Identity(), _level_ceiling(p)
+    # no level lies below bin 0, so the search finds none for p <= LEVEL_MIN
+    assert mc._reaching_levels(p, family) is None
+    assert np.all(np.any(family.window == ceiling, axis=0))
+    inner = p > rng.LEVEL_MIN
+    level, reached = mc._reaching_levels(p[inner], family)
+    assert np.array_equal(level, ceiling[inner]) and np.array_equal(reached, level)
