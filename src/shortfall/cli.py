@@ -50,9 +50,12 @@ def _read_data_file(path: str) -> np.ndarray:
         if not line:
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise ShortfallError(f"{path}: line {lineno}: could not parse {line!r} as a number")
+        if not np.isfinite(value):
+            raise ShortfallError(f"{path}: line {lineno}: {line!r} is not a finite number")
+        values.append(value)
     if not values:
         raise ShortfallError(f"{path}: no data values found")
     return np.array(values)
@@ -79,6 +82,8 @@ def cmd_table1(args) -> int:
         alphas = [check_alpha(float(a)) for a in args.alphas.split(",") if a.strip()]
     except ValueError as exc:
         raise ShortfallError(f"--alphas: {exc}")
+    if not alphas:
+        raise ShortfallError(f"--alphas: need at least one alpha (got {args.alphas!r})")
     rows = table1_rows(alphas)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

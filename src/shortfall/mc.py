@@ -23,7 +23,9 @@ function is strictly increasing there, so the estimates have the bits of the
 estimators on X.  A corruption model names the cells it changes from U (see
 :func:`shortfall.corrupt.changed_cells`), and each changed cell gets a
 stand-in key in U that compares with its row as the new value compares with
-the row's samples; the transform maps the keys back to the values (see
+the row's samples: a level of the generator's grid, or the float just below
+one, for a value up to the row's top, and a key of 2 or more above it.  The
+transform maps the keys back to the values with one table lookup (see
 :func:`_stand_ins`).  A sub-batch for which no such keys exist takes the
 sample path, with the same bits.  An AR(1) process, a family with atoms
 (distinct levels map to one value), and a corrupted trial whose stand-ins
@@ -247,11 +249,10 @@ def _on_uniforms(process: ProcessSpec, corruption: CorruptionModel, n: int) -> b
         return False
     if isinstance(corruption, NoCorruption):
         return True
-    # count 2R + 2 = 12 points per changed cell, one head point and the 2R + 1
-    # levels its window must reach; past half a row the stand-ins cost more than
-    # the uniforms save
-    return (not process.dist.cheap_quantile
-            and (2 * _LEVEL_REACH + 2) * corruption.k <= n // 2)
+    # stand-in time / sample-path time at N = 3250, 4 estimators, on a 2-core Xeon:
+    # Student-t(2.5) 0.5-0.7 for k = N/96..N/44 and 0.86 at N/24; Normal 0.85-1.5
+    # for values inside the samples at the same k, 1.0 under MaxShiftGaussian(3, 5, 250)
+    return not process.dist.cheap_quantile and 24 * corruption.k <= n
 
 
 def _stand_ins(u: np.ndarray, cells, family):
@@ -261,26 +262,23 @@ def _stand_ins(u: np.ndarray, cells, family):
     value compares with their samples, so the estimators on ``u`` with the
     returned transform give the bits of the estimators on the corrupted X.
     A value above the quantile of its row's largest uniform, changed cells
-    included, gets a key above 1; a value below quantile(``LEVEL_MIN``), the
-    bottom of the grid, gets a key below 0; both are ranked by value.  Any
-    other value v gets the smallest level L with quantile(L) >= v: L itself on
-    a tie, else the float just below L.  The transform maps each key that is
-    not a level back to its value.  ``u`` is written only once every key is
-    known.  Returns None, leaving ``u`` as drawn, where no such key can be
-    found: the cdf misses L by more than ``_LEVEL_REACH`` levels, no level lies
-    below L (v = quantile(``LEVEL_MIN``)), no float lies below L (L = 1/2), or
-    two different values need one key.
+    included, gets a key of 2 or more, ranked by value.  Any other value v
+    gets the smallest level L with quantile(L) >= v (:func:`_reaching_levels`):
+    L itself on a tie, else the float just below L, which no drawn uniform
+    takes.  The transform looks each point up in the table of keys that are
+    not levels and maps a hit back to its value.  ``u`` is written only once
+    every key is known.  Returns None, leaving ``u`` as drawn, where no such
+    key can be found: the cdf misses L by more than ``_LEVEL_REACH`` levels,
+    no float lies below L (L = 1/2), or two different values need one key
+    (two values below the grid, say).
     """
     rows, cols, values = cells
     quantile = family.quantile
-    bounds = quantile(np.append(u.max(axis=1), rng.LEVEL_MIN))  # each row's top, the grid's bottom
-    above = values > bounds[rows]
-    stored = above | (values < bounds[-1])
+    above = values > quantile(u.max(axis=1))[rows]
     keys = np.empty_like(values)
-    outside = np.sort(values[stored])
-    rank = np.searchsorted(outside, values[stored])
-    keys[stored] = np.where(above[stored], rank + 2.0, rank - (outside.size + 1.0))
-    inside = ~stored
+    keys[above] = np.searchsorted(np.sort(values[above]), values[above]) + 2.0
+    stored = above.copy()
+    inside = ~above
     if inside.any():
         v = values[inside]
         found = _reaching_levels(v, family)
@@ -299,18 +297,12 @@ def _stand_ins(u: np.ndarray, cells, family):
     u[rows, cols] = keys
     if not table_keys.size:
         return quantile
-    inner = table_keys[(table_keys > 0.0) & (table_keys < 1.0)]
-    low = table_keys[0] < 0.0
 
     def transform(points: np.ndarray) -> np.ndarray:
-        safe = np.minimum(points, 1.0)
-        if low:
-            np.maximum(safe, rng.LEVEL_MIN, out=safe)
-        hit = safe != points
-        if inner.size:
-            hit |= np.isin(points, inner)
-        out = quantile(safe)
-        out[hit] = table_values[np.searchsorted(table_keys, points[hit])]
+        out = quantile(np.minimum(points, 1.0))
+        at = np.searchsorted(table_keys, points, side="right") - 1  # -1 below every key
+        hit = table_keys[at] == points
+        out[hit] = table_values[at[hit]]
         return out
 
     return transform
@@ -320,16 +312,19 @@ def _reaching_levels(values: np.ndarray, family):
     """(L, quantile(L)) for each value v, where quantile(level below L) < v <= quantile(L).
 
     One quantile call checks the levels (:func:`shortfall.rng.unit`) of the
-    ``4 * _LEVEL_REACH + 1`` bins around the bin of ``family.cdf(v)``, clipped
-    to the grid, and L is the first level of that window that reaches v after
-    one that does not.  Returns None where a window holds none.  Where the
-    computed quantile is not monotone, the first such L is taken: the engine
-    already takes the quantile to be increasing on the points of a trial.
+    ``4 * _LEVEL_REACH + 1`` bins around the bin of ``family.cdf(v)``.  A bin
+    below 0 holds no level, so it counts as one that v does not reach, and a
+    v at or below quantile(``unit(0)``) gets L = ``unit(0)``; a bin above the
+    top bin is clipped to it.  L is the first level of the window that
+    reaches v after one that does not.  Returns None where a window holds
+    none.  Where the computed quantile is not monotone, the first such L is
+    taken: the engine already takes the quantile to be increasing on the
+    points of a trial.
     """
     bins = np.floor(family.cdf(values) * 2.0**53) + _BIN_WINDOW
     window = rng.unit(np.clip(bins, 0.0, 2.0**53 - 1.0))
     q = family.quantile(window)
-    short = q < values
+    short = (q < values) | (bins < 0.0)
     cross = short[:-1] & ~short[1:]
     if not cross.any(axis=0).all():
         return None

@@ -32,10 +32,9 @@ Output function
     Hence 0 < u <= 1, and u = 1 has probability 2**-53.
 
 Levels
-    The *levels* are the values of ``unit`` on the bins, from ``LEVEL_MIN =
-    unit(0) = 2**-54`` up to 1, which the Monte Carlo engine reads off this map
-    to place stand-in keys among the uniforms of a trial (see
-    :mod:`shortfall.mc`).
+    The *levels* are the values of ``unit`` on the bins, from ``unit(0) =
+    2**-54`` up to 1, which the Monte Carlo engine reads off this map to place
+    stand-in keys among the uniforms of a trial (see :mod:`shortfall.mc`).
 
 Seed derivation (splitting)
     Sub-streams are derived by folding integer keys into a seed:
@@ -67,9 +66,6 @@ _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
 
 _TO_UNIT = 2.0**-53
-
-#: The smallest level, ``unit(0)`` (module docstring).
-LEVEL_MIN = 2.0**-54
 
 
 def finalize(value: int) -> int:

@@ -96,6 +96,11 @@ def test_estimate_parse_error_reports_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", str(data), "--alpha", "0.1")
     assert code == 2
     assert "line 2" in err
+    for bad in ("nan", "inf", "-Infinity"):
+        data.write_text(f"1.0\n2.0\n\n{bad}\n")
+        code, _, err = run_cli(capsys, "estimate", str(data), "--alpha", "0.1")
+        assert code == 2
+        assert err == f"error: {data}: line 4: {bad!r} is not a finite number\n"
     blank = tmp_path / "blank.txt"
     blank.write_text("\n \n")
     for path, message in ((tmp_path / "missing.txt", "cannot read"), (blank, "no data values found")):
@@ -170,12 +175,13 @@ def test_table1_single_alpha(tmp_path, capsys):
 
 
 def test_table1_rejects_bad_alpha(tmp_path, capsys):
-    for bad in ("0.6", "abc"):
+    for bad in ("0.6", "abc", ",", ""):
         code, _, err = run_cli(capsys, "table1", "--alphas", bad,
                                "--out", str(tmp_path / "t.csv"))
         assert code == 2
-        assert "alpha" in err
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert err.startswith("error: --alphas:")
+        assert len(err.splitlines()) == 1
+    assert not (tmp_path / "t.csv").exists()
 
 
 # --- curve ------------------------------------------------------------------------

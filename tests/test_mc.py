@@ -168,9 +168,10 @@ _PATH_FAMILIES = (dist.Normal(0.0, 1.0), dist.Logistic(0.0, 1.0), dist.Lognormal
 
 
 def _attacks(family, n: int = 400) -> dict:
-    """Corruptions the uniform path must carry: values inside, above and below the samples, a tie."""
+    """Corruptions the uniform path must carry: values inside, above and below the samples, ties."""
     x = mc.draw_trial_samples(dist.IID(family), n, 23, 0, 1)[0]
     inside = float(np.median(x))
+    bottom = float(family.quantile(rng.unit(np.array([0])))[0])  # of the grid of levels
     return {
         "max_shift_3": corrupt.MaxShiftGaussian(3, 5.0, 250.0),
         "max_shift_quarter": corrupt.MaxShiftGaussian(n // 4, inside, 1.0),
@@ -179,6 +180,7 @@ def _attacks(family, n: int = 400) -> dict:
         "above": corrupt.ReplaceIndices(frozenset({2, 9}), 1e300),
         "below_support": corrupt.ReplaceIndices(frozenset({3}), -1e308),
         "tie": corrupt.ReplaceIndices(frozenset({1}), float(x[5])),  # point 6 of trial 0
+        "bottom_tie": corrupt.ReplaceIndices(frozenset({2}), bottom),
     }
 
 
@@ -248,9 +250,17 @@ def test_stand_ins_decline_a_key_they_cannot_give():
     transform = mc._stand_ins(keys, (rows, cols, np.array([first, first])), family)
     assert keys[rows, cols].tolist() == [np.nextafter(0.75, 0.0)] * 2
     assert transform(keys[rows, cols]).tolist() == [first, first]
-    # between the quantiles of 1/2 - 2**-54 and 1/2 no float is free; no level lies below bin 0
+    # the bottom of the grid: a tie keeps unit(0), a value below it takes the float under it
+    bottom = rng.unit(np.array([0]))[0]
+    keys = u.copy()
+    values = np.array([family.quantile(bottom), -1e308])
+    transform = mc._stand_ins(keys, (rows, cols, values), family)
+    assert keys[rows, cols].tolist() == [bottom, np.nextafter(bottom, 0.0)]
+    assert transform(keys[rows, cols]).tolist() == values.tolist()
+    # between the quantiles of 1/2 - 2**-54 and 1/2 no float is free; two values below
+    # the grid both need the float under unit(0)
     assert family.quantile(0.5) == 0.0 and family.quantile(0.5 - 2.0**-54) < -1e-17
-    for values in ([first, second], [-1e-17, 1e3], [family.quantile(rng.LEVEL_MIN), 1e3]):
+    for values in ([first, second], [-1e-17, 1e3], [-1e308, -1e300]):
         keys = u.copy()
         assert mc._stand_ins(keys, (rows, cols, np.array(values)), family) is None
         assert keys.tobytes() == u.tobytes()  # a decline leaves u as drawn

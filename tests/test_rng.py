@@ -114,7 +114,7 @@ def test_unit_is_the_generator_map():
     bins = [0, 2**52 - 1, 2**52, 2**52 + 1, 2**52 + 2, 2**53 - 1]
     assert np.array_equal(rng.unit(np.array(bins, dtype=np.uint64)), _unit_of_bins(*bins))
     assert np.array_equal(rng.unit(np.array(bins, dtype=np.float64)), _unit_of_bins(*bins))
-    assert rng.unit(np.array([0]))[0] == rng.LEVEL_MIN
+    assert rng.unit(np.array([0]))[0] == 2.0**-54
 
 
 def test_one_float_between_adjacent_levels():
@@ -153,9 +153,8 @@ def test_level_ceiling_of_any_number():
                         [0.0, 5e-324, 2.0**-54, 2.0**-54 + 2.0**-60, 0.25 - 2.0**-55, 0.25,
                          0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53, 1.0]])
     family, ceiling = _Identity(), _level_ceiling(p)
-    # no level lies below bin 0, so the search finds none for p <= LEVEL_MIN
-    assert mc._reaching_levels(p, family) is None
+    # for 0, 5e-324 and unit(0) the bins below 0, which hold no level, mark the crossing
+    assert np.all(ceiling[p <= 2.0**-54] == rng.unit(np.array([0]))[0])
+    level, reached = mc._reaching_levels(p, family)
     assert np.all(np.any(family.window == ceiling, axis=0))
-    inner = p > rng.LEVEL_MIN
-    level, reached = mc._reaching_levels(p[inner], family)
-    assert np.array_equal(level, ceiling[inner]) and np.array_equal(reached, level)
+    assert np.array_equal(level, ceiling) and np.array_equal(reached, level)
