@@ -157,6 +157,8 @@ def _interp_sorted(ordered: np.ndarray, beta: float) -> np.ndarray:
     position = beta * (n - 1)
     j = min(int(math.floor(position)), n - 2)
     frac = position - j
+    if frac in (0.0, 1.0):  # a whole position: the order statistic, even next to an inf
+        return ordered[..., j + int(frac)].copy()
     return (1.0 - frac) * ordered[..., j] + frac * ordered[..., j + 1]
 
 
@@ -238,9 +240,17 @@ def _clamp(full: np.ndarray, blocks: np.ndarray, beta1: float, beta2: float):
 def truncated_es_interval(sample, alpha: float, m: int = DEFAULT_M,
                           beta1: float = DEFAULT_BETA1, beta2: float = DEFAULT_BETA2,
                           gap: int = 0) -> tuple[float, float, float]:
-    """(estimate, lower clamp, upper clamp) of the truncated estimator."""
-    rows = truncated_es_batch(_one_row(sample), alpha, m, beta1, beta2, gap,
-                              return_interval=True)
+    """(estimate, lower clamp, upper clamp) of the truncated estimator.
+
+    On a batch, the clamp end at level b is the truncated estimator at
+    ``beta1 = beta2 = b``, since min(max(x, L), L) = L: :func:`evaluate_many`
+    gives the ends of each row beside the estimate, on shared block estimates.
+    """
+    a = _one_row(sample)
+    alpha = check_alpha(alpha)
+    _check_betas(beta1, beta2)
+    _block_count(a.shape[1], m, gap, need=2)
+    rows = _clamp(plugin_es_batch(a, alpha), _sorted_blocks(a, alpha, m, gap), beta1, beta2)
     return tuple(float(r[0]) for r in rows)
 
 
@@ -253,14 +263,13 @@ def truncated_es(sample, alpha: float, m: int = DEFAULT_M,
 
 def truncated_es_batch(samples, alpha: float, m: int = DEFAULT_M,
                        beta1: float = DEFAULT_BETA1, beta2: float = DEFAULT_BETA2,
-                       gap: int = 0, return_interval: bool = False):
-    """Row-wise truncated estimates; optionally also the clamp intervals."""
+                       gap: int = 0) -> np.ndarray:
+    """Row-wise truncated estimates."""
     alpha = check_alpha(alpha)
     _check_betas(beta1, beta2)
     a = _as_batch(samples)
     _block_count(a.shape[1], m, gap, need=2)
-    rows = _clamp(plugin_es_batch(a, alpha), _sorted_blocks(a, alpha, m, gap), beta1, beta2)
-    return rows if return_interval else rows[0]
+    return _clamp(plugin_es_batch(a, alpha), _sorted_blocks(a, alpha, m, gap), beta1, beta2)[0]
 
 
 def median_of_blocks(sample, alpha: float, m: int = DEFAULT_M, gap: int = 0) -> float:

@@ -183,7 +183,10 @@ class HistogramResult:
 
 
 def resolve_workers(workers: int = 0) -> int:
-    """0 means auto: the SHORTFALL_WORKERS env var, else the CPU count."""
+    """0 means auto: the SHORTFALL_WORKERS env var, else the CPU count capped at 8.
+
+    The env var takes the same counts, 0 for auto included.
+    """
     if workers < 0:
         raise ParameterError(f"workers: must be >= 0 (got {workers})")
     if workers:
@@ -196,7 +199,8 @@ def resolve_workers(workers: int = 0) -> int:
             count = -1
         if count < 0:
             raise ParameterError(f"SHORTFALL_WORKERS: must be an integer >= 0 (got {env!r})")
-        return max(1, count)
+        if count:
+            return count
     return max(1, min(os.cpu_count() or 1, 8))
 
 
@@ -420,6 +424,10 @@ def histogram(estimates, bins: int) -> HistogramResult:
     est = np.asarray(estimates, dtype=np.float64).ravel()
     if est.size == 0:
         raise ParameterError("estimates: must be nonempty")
+    bad = est.size - int(np.count_nonzero(np.isfinite(est)))
+    if bad:
+        raise ParameterError(f"estimates: {bad} of {est.size} are not finite; "
+                             "a histogram needs finite estimates")
     lo, hi = float(est.min()), float(est.max())
     if lo == hi:
         edges = np.linspace(lo - 0.5, hi + 0.5, bins + 1)

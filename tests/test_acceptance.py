@@ -234,25 +234,19 @@ def test_c6_adversarial_robustness(bench_runs):
     # trials, a summed-TV effect of ~0.16-0.19), while the 0.05/0.10
     # thresholds match the per-bin scale well.  The summed TV is also
     # computed and must preserve the qualitative contrast.
+    #
+    # The clamp ends are truncated estimators at beta1 = beta2 (min(max(x, L), L)
+    # = L), evaluated on the same draws as the estimate they bound.
     n = 3250
     trials = BENCH_TRIALS
     model = corrupt.MaxShiftGaussian(k=3, mu=5.0, sigma=250.0)
-    process = dist.IID(BENCH_DIST)
+    ends = (estim.EstimatorConfig("truncated", m=250, beta1=0.5, beta2=0.5),
+            estim.EstimatorConfig("truncated", m=250, beta1=0.6, beta2=0.6))
     clean_plugin, clean_trunc = bench_runs[n]
-
-    dirty_plugin = np.empty(trials)
-    dirty_trunc = np.empty(trials)
-    violations = 0
-    chunk = 4000
-    for t0 in range(0, trials, chunk):
-        t1 = min(t0 + chunk, trials)
-        samples = mc.draw_trial_samples(process, n, SEED, t0, t1, corruption=model)
-        dirty_plugin[t0:t1] = estim.plugin_es_batch(samples, BENCH_ALPHA)
-        values, lower, upper = estim.truncated_es_batch(
-            samples, BENCH_ALPHA, m=250, beta1=0.5, beta2=0.6, return_interval=True
-        )
-        dirty_trunc[t0:t1] = values
-        violations += int(np.count_nonzero((values < lower) | (values > upper)))
+    dirty_plugin, dirty_trunc, lower, upper = mc.run_trials_multi(
+        dist.IID(BENCH_DIST), BENCH_ESTIMATORS + ends, BENCH_ALPHA, n, trials, SEED,
+        corruption=model, workers=WORKERS)
+    violations = int(np.count_nonzero((dirty_trunc < lower) | (dirty_trunc > upper)))
 
     tv_plugin, binmax_plugin = _histogram_distances(clean_plugin, dirty_plugin)
     tv_trunc, binmax_trunc = _histogram_distances(clean_trunc, dirty_trunc)
@@ -365,7 +359,9 @@ def test_c9_infinite_variance_stress():
     # finite sigma, does not apply.  What clamping still promises there is
     # control of the deviations the heavy tail causes: those above ES.  The
     # m=250 block plug-ins are right-skewed, so both clamp ends sit below ES
-    # ~13.92 (median lower ~11.5, upper ~12.4 at every N, as m is fixed).
+    # ~13.92 (their medians, printed per N, are about 11.5 and 12.4 at every
+    # N, as m is fixed; median_of_blocks is the lower end at beta1 = 0.5, and
+    # the upper end is the truncated estimator at beta1 = beta2 = 0.6).
     # That bias costs the truncated estimator the lower side at delta=2, and
     # the two-sided delta=2 curves cross between N = 1250 and 1750, while it
     # wins the upper side at every N.  Hence delta=2 asserts the upward
@@ -381,14 +377,16 @@ def test_c9_infinite_variance_stress():
         estim.EstimatorConfig("truncated", m=250, beta1=0.5, beta2=0.6),
         estim.EstimatorConfig("median_of_blocks", m=250),
         estim.EstimatorConfig("trimmed"),
+        estim.EstimatorConfig("truncated", m=250, beta1=0.6, beta2=0.6),
     )
     finite_ok = True
     upward2_ok = two_sided5_ok = True
-    details = []
+    details, ends = [], []
     for n in BENCH_GRID:
         results = mc.run_trials_multi(process, estimators, alpha, n, trials, SEED,
                                       workers=WORKERS)
         finite_ok = finite_ok and all(np.all(np.isfinite(r)) for r in results)
+        ends.append(f"N={n} {np.median(results[2]):.2f} / {np.median(results[4]):.2f}")
         if n == BENCH_GRID[0]:
             continue
         upward2 = [_upward_exceedance(r, truth, 2.0) for r in results[:2]]
@@ -409,4 +407,5 @@ def test_c9_infinite_variance_stress():
             f"all finite={finite_ok}; dominance with 3-stderr margin at every N "
             f"past the first: delta=2 upward {upward2_ok}, delta=5 two-sided "
             f"{two_sided5_ok} (delta=2 downward and two-sided are printed, not "
-            f"asserted: the clamp's fixed-m bias sits below ES); " + "; ".join(details))
+            f"asserted: the clamp's fixed-m bias sits below ES); " + "; ".join(details)
+            + f"; median clamp ends vs ES {truth:.2f}: " + ", ".join(ends))

@@ -421,6 +421,32 @@ def test_corrupt_demo_distorts_plugin(tmp_path, capsys):
     assert top_dirty > top_clean  # shocks of scale 250 push the plug-in far right
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("family", [
+    {"family": "student_t", "params": {"nu": 2.5}},
+    {"family": "pareto", "params": {"x0": 1.0, "lam": 2.2}},
+])
+def test_corrupt_demo_non_finite_estimates_is_one_line_error(tmp_path, capsys, family):
+    cfg = {
+        "version": 1,
+        "process": {"kind": "iid", "dist": family},
+        "alpha": 0.1,
+        "estimators": [{"kind": "plugin"}],
+        "sample_sizes": [500],
+        "delta": 1.0,
+        "trials": 40,
+        "master_seed": 3,
+        "corruption": {"kind": "max_shift_gaussian", "k": 3, "mu": 0.0, "sigma": 1e308},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "corrupt-demo", "--config", str(path),
+                           "--out", str(tmp_path / "demo"), "--workers", "1")
+    assert code == 2  # the shocks overflow to inf, and so do the plug-ins
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: estimates: ") and "not finite" in err
+
+
 # --- mixing -----------------------------------------------------------------------
 
 

@@ -97,6 +97,23 @@ def test_interp_matches_numpy_linear():
         )
 
 
+def test_whole_position_next_to_an_inf_is_the_order_statistic():
+    # blocks of ten give the estimates 1, 2 and inf (to rounding): the median is
+    # the middle one, where (1 - 0) * 2 + 0 * inf would be nan
+    row = np.array([[1.0] * 10 + [2.0] * 10 + [math.inf] * 10])
+    blocks = estim.block_estimates_batch(row, 0.1, m=10)
+    assert blocks[0, 1] == pytest.approx(2.0) and blocks[0, 2] == math.inf
+    assert estim.median_of_blocks_batch(row, 0.1, m=10).tolist() == [blocks[0, 1]]
+    assert estim.truncated_es_batch(row, 0.1, m=10).tolist() == [math.inf]
+    # beta = 1 sits at frac 1 of the last interval: 0 * -inf + 1 * 5 would be nan
+    row = np.array([[-math.inf] * 10 + [5.0] * 10])
+    top = estim.block_estimates_batch(row, 0.1, m=10)[0, 1]
+    full = estim.plugin_es_batch(row, 0.1)[0]
+    with pytest.warns(UserWarning, match="range"):
+        got = estim.truncated_es_batch(row, 0.1, m=10, beta1=0.5, beta2=1.0)
+    assert got.tolist() == [min(full, top)] and math.isfinite(top)
+
+
 # --- blocks ------------------------------------------------------------------------
 
 
@@ -255,9 +272,9 @@ def test_batch_matches_scalar(alpha, gap):
         estim.plugin_es_batch(samples, alpha),
         [estim.plugin_es(r, alpha) for r in samples], atol=1e-12,
     )
-    got, lower, upper = estim.truncated_es_batch(
-        samples, alpha, m=11, beta1=0.4, beta2=0.6, gap=gap, return_interval=True
-    )
+    got, lower, upper = (
+        estim.truncated_es_batch(samples, alpha, m=11, beta1=b1, beta2=b2, gap=gap)
+        for b1, b2 in ((0.4, 0.6), (0.4, 0.4), (0.6, 0.6)))
     singles = [estim.truncated_es_interval(r, alpha, m=11, beta1=0.4, beta2=0.6, gap=gap)
                for r in samples]
     assert np.allclose(got, [s[0] for s in singles], atol=1e-12)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -148,12 +150,12 @@ def test_multi_shares_draws():
     ests = (estim.EstimatorConfig("plugin"),
             estim.EstimatorConfig("truncated", m=25),
             estim.EstimatorConfig("median_of_blocks", m=25),
-            estim.EstimatorConfig("trimmed"))
+            estim.EstimatorConfig("trimmed"),
+            estim.EstimatorConfig("truncated", m=25, beta1=0.6, beta2=0.6))
     results = mc.run_trials_multi(process, ests, 0.1, 100, 300, 17, workers=1)
-    # truncated output clamps the same plug-in values the plugin estimator reports
-    _, lo, hi = estim.truncated_es_batch(
-        mc.draw_trial_samples(process, 100, 17, 0, 300), 0.1, m=25, return_interval=True
-    )
+    # truncated output clamps the same plug-in values the plugin estimator
+    # reports to the clamp ends: the median of blocks and truncated at 0.6, 0.6
+    lo, hi = results[2], results[4]
     assert np.array_equal(results[1], np.minimum(np.maximum(results[0], lo), hi))
 
 
@@ -219,6 +221,34 @@ def test_engine_estimates_are_the_estimators_on_the_drawn_samples(monkeypatch, p
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert bool(drawn) == sample_path  # seen from this process, so at one worker
     assert bool(drawn) == sample_path
+
+
+@pytest.mark.parametrize("process, model, sample_path", [
+    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.NoCorruption(), False, id="uniforms"),
+    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.MaxShiftGaussian(3, 5.0, 250.0), False,
+                 id="stand_ins"),
+    pytest.param(dist.IID(dist.Pareto(1.0, 2.2)), corrupt.MaxShiftGaussian(3, 5.0, 250.0), True,
+                 id="samples"),
+])
+def test_clamp_ends_are_truncated_estimators_at_equal_betas(monkeypatch, process, model,
+                                                            sample_path):
+    # min(max(x, L), L) = L, so the engine gives the clamp ends beside the estimate
+    n, trials, m = 400, 200, 50
+    ests = [estim.EstimatorConfig("truncated", m=m, beta1=b1, beta2=b2)
+            for b1, b2 in ((0.5, 0.6), (0.5, 0.5), (0.6, 0.6))]
+    draw = mc.draw_trial_samples
+    samples = draw(process, n, 23, 0, trials, model)
+    want = np.array([estim.truncated_es_interval(x, 0.1, m, 0.5, 0.6) for x in samples]).T
+    drawn = []
+    monkeypatch.setattr(mc, "draw_trial_samples", lambda *args: drawn.append(args) or draw(*args))
+    for workers in (1, 2):
+        got = mc.run_trials_multi(process, ests, 0.1, n, trials, 23, model, workers)
+        assert np.array(got).tobytes() == want.tobytes()
+    assert bool(drawn) == sample_path
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estim.truncated_es_interval(samples[0], 0.1, m, beta1=0.2)
+    assert len(caught) == 1 and "guaranteed range" in str(caught[0].message)
 
 
 @pytest.mark.parametrize("family", _PATH_FAMILIES, ids=lambda f: type(f).__name__.lower())
@@ -551,6 +581,8 @@ def test_resolve_workers_env(monkeypatch):
     assert mc.resolve_workers(5) == 5
     with pytest.raises(ParameterError):
         mc.resolve_workers(-1)
+    monkeypatch.setenv("SHORTFALL_WORKERS", "0")  # auto, as for an explicit 0
+    assert mc.resolve_workers(0) == max(1, min(os.cpu_count() or 1, 8))
     for bad in ("abc", "2.5", "-2"):
         monkeypatch.setenv("SHORTFALL_WORKERS", bad)
         with pytest.raises(ParameterError, match="SHORTFALL_WORKERS"):
