@@ -29,7 +29,8 @@ import numpy as np
 from . import estim, mc, report
 from .corrupt import MaxShiftGaussian, NoCorruption, model_to_json
 from .dist import AR1, IID
-from .errors import InfiniteShortfallError, ShortfallError, check_alpha, check_fields, integer
+from .errors import (InfiniteShortfallError, ParameterError, ShortfallError, check_alpha,
+                     check_fields, integer)
 from .estim import EstimatorConfig, truncated_es_interval
 from .functionals import table1_rows
 
@@ -166,21 +167,35 @@ def _histogram_n(args, spec: mc.ExperimentSpec) -> int:
     return n
 
 
-def _write_histograms(args, out: Path, spec: mc.ExperimentSpec, results, phase=None) -> None:
-    for i, est in enumerate(spec.estimators):
-        hist = mc.histogram(results[i], args.bins)
-        stem = f"hist_{_file_tag(spec, i)}" + (f"_{phase}" if phase else "")
+def _histograms(args, spec: mc.ExperimentSpec, n: int, runs) -> list:
+    """(file stem, title, histogram) of each estimator of each ``(spec, phase)`` in ``runs``.
+
+    Every histogram is computed before any is written, so a failed command writes nothing.
+    """
+    out = []
+    for run, phase in runs:
+        for i, (est, estimates) in enumerate(zip(spec.estimators, mc.run_trials(run, n, args.workers))):
+            title = f"{est.label()} ({phase})" if phase else est.label()
+            try:
+                hist = mc.histogram(estimates, args.bins)
+            except ParameterError as exc:
+                raise ParameterError(f"{exc}; estimator {title}") from None
+            out.append((f"hist_{_file_tag(spec, i)}" + (f"_{phase}" if phase else ""), title, hist))
+    return out
+
+
+def _write_histograms(args, out: Path, histograms) -> None:
+    for stem, title, hist in histograms:
         _write(out / f"{stem}.csv", report.histogram_to_csv(hist))
         if args.svg:
-            title = f"{est.label()} ({phase})" if phase else est.label()
             _write(out / f"{stem}.svg", report.histogram_svg(hist, title=title))
 
 
 def cmd_hist(args) -> int:
     cfg, spec = _load_config(args.config)
     n = _histogram_n(args, spec)
-    out = _prepare_out(args, cfg)
-    _write_histograms(args, out, spec, mc.run_trials(spec, n, workers=args.workers))
+    histograms = _histograms(args, spec, n, ((spec, None),))
+    _write_histograms(args, _prepare_out(args, cfg), histograms)
     return 0
 
 
@@ -193,10 +208,10 @@ def cmd_corrupt_demo(args) -> int:
     corruption = spec.corruption if not isinstance(spec.corruption, NoCorruption) else DEMO_CORRUPTION
     clean = dataclasses.replace(spec, sample_sizes=(n,), corruption=NoCorruption())
     dirty = dataclasses.replace(clean, corruption=corruption)  # checks the attack at n
+    histograms = _histograms(args, spec, n, ((clean, "clean"), (dirty, "corrupted")))
     out = _prepare_out(args, cfg)
     print(f"corruption: {model_to_json(corruption)}")
-    for run, phase in ((clean, "clean"), (dirty, "corrupted")):
-        _write_histograms(args, out, spec, mc.run_trials(run, n, args.workers), phase)
+    _write_histograms(args, out, histograms)
     return 0
 
 

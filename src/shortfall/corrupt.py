@@ -161,7 +161,8 @@ def changed_cells(data: np.ndarray, model: CorruptionModel, seeds: np.ndarray,
         empty = np.empty(0, dtype=np.intp)
         return empty, empty, np.empty(0)
     if isinstance(model, MaxShiftGaussian):
-        shocks = model.mu + model.sigma * sp.ndtri(rng.uniform_matrix(seeds, model.k))
+        with np.errstate(over="ignore"):  # a shock beyond the float range is an infinity
+            shocks = model.mu + model.sigma * sp.ndtri(rng.uniform_matrix(seeds, model.k))
         head = data[:, : model.k] if quantile is None else quantile(data[:, : model.k])
         rows, cols = np.nonzero(shocks > head)
         return rows, cols, shocks[rows, cols]

@@ -18,12 +18,12 @@ consecutive blocks of size m, and ``gap = m`` keeps every other block (the
 layout used for weakly dependent data, where the discarded spacer blocks
 decouple the retained ones).
 
-Each estimator has one kernel, its ``*_batch`` form, which works row-wise on a
-(trials, N) matrix and relies on ``np.partition`` instead of full sorts.  The
-scalar form validates one sample and runs that kernel on a one-row matrix, so
-both forms give the same bits.  :func:`evaluate_many` evaluates several
-estimators on one matrix and computes the full-sample plug-in and the sorted
-block estimates of each block layout once; the Monte Carlo engine uses it.
+The kernels :func:`plugin_es_batch`, :func:`block_estimates_batch` and
+:func:`trimmed_es_batch` work row-wise on a (trials, N) matrix with
+``np.partition`` instead of full sorts.  :func:`evaluate_many`, the batch route
+of every estimator, builds the truncated estimator and the median of blocks
+from them, sharing the plug-in and the sorted block estimates of each layout.
+A scalar form is its batch route on a one-row matrix, with the same bits.
 
 Every estimator reads only a top segment of its partitioned sample (of each
 block, for the block estimates).  The batch kernels and :func:`evaluate_many`
@@ -62,8 +62,6 @@ __all__ = [
     "suggested_block_size",
     "plugin_es_batch",
     "block_estimates_batch",
-    "truncated_es_batch",
-    "median_of_blocks_batch",
     "trimmed_es_batch",
     "evaluate_many",
 ]
@@ -113,7 +111,8 @@ def _tail_mean(part: np.ndarray, k: int, n: int, alpha: float, transform=None) -
     """
     boundary_w = (k + 1.0) / n - max(k / n, 1.0 - alpha)
     tail = part[:, k:n] if transform is None else transform(part[:, k:n])
-    top_sum = tail[:, 1:].sum(axis=-1)
+    with np.errstate(over="ignore"):  # an overflowing row is added again below
+        top_sum = tail[:, 1:].sum(axis=-1)
     out = (top_sum / n + boundary_w * tail[:, 0]) / alpha
     over = ~np.isfinite(top_sum)
     if over.any():
@@ -208,10 +207,6 @@ def block_estimates_batch(samples, alpha: float, m: int, gap: int = 0,
     return flat.reshape(n_rows, n_blocks)
 
 
-def _sorted_blocks(a: np.ndarray, alpha: float, m: int, gap: int, transform=None) -> np.ndarray:
-    return np.sort(block_estimates_batch(a, alpha, m, gap, transform), axis=-1)
-
-
 def _check_beta_order(beta1: float, beta2: float) -> None:
     if not 0.0 <= beta1 <= beta2 <= 1.0:
         raise ParameterError(
@@ -226,7 +221,7 @@ def _check_betas(beta1: float, beta2: float) -> None:
         warnings.warn(
             f"quantile levels ({beta1}, {beta2}) lie outside the guaranteed "
             f"range [{lo}, {hi}]",
-            stacklevel=3,
+            stacklevel=2,  # the estimator's line, not its caller's: see evaluate_many
         )
 
 
@@ -250,7 +245,8 @@ def truncated_es_interval(sample, alpha: float, m: int = DEFAULT_M,
     alpha = check_alpha(alpha)
     _check_betas(beta1, beta2)
     _block_count(a.shape[1], m, gap, need=2)
-    rows = _clamp(plugin_es_batch(a, alpha), _sorted_blocks(a, alpha, m, gap), beta1, beta2)
+    blocks = np.sort(block_estimates_batch(a, alpha, m, gap), axis=-1)
+    rows = _clamp(plugin_es_batch(a, alpha), blocks, beta1, beta2)
     return tuple(float(r[0]) for r in rows)
 
 
@@ -261,32 +257,9 @@ def truncated_es(sample, alpha: float, m: int = DEFAULT_M,
     return truncated_es_interval(sample, alpha, m, beta1, beta2, gap)[0]
 
 
-def truncated_es_batch(samples, alpha: float, m: int = DEFAULT_M,
-                       beta1: float = DEFAULT_BETA1, beta2: float = DEFAULT_BETA2,
-                       gap: int = 0) -> np.ndarray:
-    """Row-wise truncated estimates."""
-    alpha = check_alpha(alpha)
-    _check_betas(beta1, beta2)
-    a = _as_batch(samples)
-    _block_count(a.shape[1], m, gap, need=2)
-    return _clamp(plugin_es_batch(a, alpha), _sorted_blocks(a, alpha, m, gap), beta1, beta2)[0]
-
-
 def median_of_blocks(sample, alpha: float, m: int = DEFAULT_M, gap: int = 0) -> float:
     """Interpolated median of the block estimates."""
-    return float(median_of_blocks_batch(_one_row(sample), alpha, m, gap)[0])
-
-
-def _median(blocks: np.ndarray) -> np.ndarray:
-    """The median-of-blocks kernel on sorted block estimates."""
-    if blocks.shape[1] == 1:
-        warnings.warn("only one complete block; median of blocks degenerates "
-                      "to a single block estimate", stacklevel=3)
-    return _interp_sorted(blocks, 0.5)
-
-
-def median_of_blocks_batch(samples, alpha: float, m: int = DEFAULT_M, gap: int = 0) -> np.ndarray:
-    return _median(_sorted_blocks(_as_batch(samples), check_alpha(alpha), m, gap))
+    return EstimatorConfig("median_of_blocks", m=m, gap=gap).evaluate(sample, alpha)
 
 
 def _check_trim(c: float, exponent: float) -> None:
@@ -310,7 +283,7 @@ def _trim_count(n: int, c: float, exponent: float) -> int:
 def trimmed_es(sample, alpha: float, c: float = DEFAULT_TRIM_C,
                exponent: float = DEFAULT_TRIM_EXPONENT) -> float:
     """Plug-in estimate after discarding the floor(c * N**exponent) largest points."""
-    return float(trimmed_es_batch(_one_row(sample), alpha, c, exponent)[0])
+    return EstimatorConfig("trimmed", trim_c=c, trim_exponent=exponent).evaluate(sample, alpha)
 
 
 def trimmed_es_batch(samples, alpha: float, c: float = DEFAULT_TRIM_C,
@@ -410,18 +383,24 @@ def evaluate_many(estimators, samples, alpha: float, transform=None) -> list[np.
     ``(m, gap)`` layout are computed once and shared by every estimator that
     needs them, so each result has the bits of that estimator evaluated alone.
     With a ``transform`` the estimates are those of ``transform(samples)``
-    (see the module docstring for the contract).
+    (see the module docstring for the contract).  Its warnings point here, not
+    at the caller, so Python's default filter shows each once per process.
     """
     alpha = check_alpha(alpha)
     a = _as_batch(samples)
     full = functools.cache(lambda: plugin_es_batch(a, alpha, transform))
-    blocks = functools.cache(lambda m, gap: _sorted_blocks(a, alpha, m, gap, transform))
+    blocks = functools.cache(
+        lambda m, gap: np.sort(block_estimates_batch(a, alpha, m, gap, transform), axis=-1))
     out = []
     for est in estimators:
         if est.kind == "plugin":
             out.append(full())
         elif est.kind == "median_of_blocks":
-            out.append(_median(blocks(est.m, est.gap)))
+            ordered = blocks(est.m, est.gap)
+            if ordered.shape[1] == 1:
+                warnings.warn("only one complete block; median of blocks degenerates "
+                              "to a single block estimate")
+            out.append(_interp_sorted(ordered, 0.5))
         elif est.kind == "truncated":
             _check_betas(est.beta1, est.beta2)
             _block_count(a.shape[1], est.m, est.gap, need=2)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -353,6 +354,17 @@ def _check_trial_zero(estimators, alpha: float, n: int, corruption: CorruptionMo
                                  "(failure would occur at trial 0)") from None
 
 
+def _ignore_estimator_warnings() -> None:
+    """A worker's filter: its sub-batches repeat no warning that trial 0 raised already.
+
+    The main process sets none, since changing the filters resets Python's
+    once-per-location registry and trial 0 would warn again at every N; its
+    sub-batches repeat the location of trial 0's warnings instead (see
+    :func:`shortfall.estim.evaluate_many`).
+    """
+    warnings.simplefilter("ignore", UserWarning)
+
+
 def run_trials_multi(process: ProcessSpec, estimators, alpha: float, n: int,
                      trials: int, master_seed: int,
                      corruption: CorruptionModel = NoCorruption(),
@@ -372,7 +384,7 @@ def run_trials_multi(process: ProcessSpec, estimators, alpha: float, n: int,
     batch = partial(_run_batch, process, estimators, alpha, n, master_seed, corruption, rows, trials)
     if workers == 1:
         return _concat(map(batch, starts))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_ignore_estimator_warnings) as pool:
         return _concat(pool.map(batch, starts, chunksize=-(-len(starts) // workers)))
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -421,7 +425,6 @@ def test_corrupt_demo_distorts_plugin(tmp_path, capsys):
     assert top_dirty > top_clean  # shocks of scale 250 push the plug-in far right
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("family", [
     {"family": "student_t", "params": {"nu": 2.5}},
     {"family": "pareto", "params": {"x0": 1.0, "lam": 2.2}},
@@ -445,6 +448,67 @@ def test_corrupt_demo_non_finite_estimates_is_one_line_error(tmp_path, capsys, f
     assert code == 2  # the shocks overflow to inf, and so do the plug-ins
     assert len(err.splitlines()) == 1
     assert err.startswith("error: estimates: ") and "not finite" in err
+
+
+@pytest.mark.parametrize("command", ["hist", "corrupt-demo"])
+def test_histogram_command_that_fails_writes_nothing(tmp_path, capsys, command):
+    # the median of ten blocks stays finite under three infinite shocks; the plug-in does not
+    cfg = {
+        "version": 1,
+        "process": {"kind": "iid", "dist": {"family": "student_t", "params": {"nu": 2.5}}},
+        "alpha": 0.1,
+        "estimators": [{"kind": "median_of_blocks", "m": 50}, {"kind": "plugin"}],
+        "sample_sizes": [500],
+        "delta": 1.0,
+        "trials": 200,
+        "master_seed": 3,
+        "corruption": {"kind": "max_shift_gaussian", "k": 3, "mu": 0.0, "sigma": 1e308},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, command, "--config", str(path), "--out", str(out),
+                           "--workers", "1")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: estimates: ")
+    assert "estimator plugin" in err and "median_of_blocks" not in err
+    assert ("plugin (corrupted)" in err) == (command == "corrupt-demo")
+    assert not out.exists()
+
+
+def _bench_config(tmp_path, **overrides) -> Path:
+    """A 200-trial copy of configs/pareto22_bench.json with ``overrides``."""
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "pareto22_bench.json").read_text())
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(dict(cfg, trials=200, **overrides)))
+    return path
+
+
+def test_overflow_curve_raises_no_runtime_warning(tmp_path, capsys):
+    # shocks that overflow to +inf in every point: every estimate is inf
+    overflow = {"kind": "max_shift_gaussian", "k": 1250, "mu": 0.0, "sigma": 1e308}
+    path = _bench_config(tmp_path, sample_sizes=[1250], corruption=overflow)
+    out = tmp_path / "curve"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(capsys, "curve", "--config", str(path), "--out", str(out),
+                               "--workers", "1")
+    assert code == 0 and err == ""
+    assert (out / "curve_1_truncated.csv").read_text().splitlines()[1].startswith("1250,1,")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_beta_range_warning_printed_once(tmp_path, capfd, workers):
+    # printed from a fresh process: the test runner records warnings instead of printing them
+    estimators = [{"kind": "plugin"}, {"kind": "truncated", "m": 250, "beta1": 0.2, "beta2": 0.6}]
+    path = _bench_config(tmp_path, estimators=estimators)
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["curve", "--config", str(path), "--out", str(tmp_path / "curve"), "--workers", workers]
+    subprocess.run([sys.executable, "-m", "shortfall.cli", *argv], env=env, check=True,
+                   timeout=300)
+    err = capfd.readouterr().err
+    assert err.count("guaranteed range") == 1
 
 
 # --- mixing -----------------------------------------------------------------------

@@ -103,14 +103,15 @@ def test_whole_position_next_to_an_inf_is_the_order_statistic():
     row = np.array([[1.0] * 10 + [2.0] * 10 + [math.inf] * 10])
     blocks = estim.block_estimates_batch(row, 0.1, m=10)
     assert blocks[0, 1] == pytest.approx(2.0) and blocks[0, 2] == math.inf
-    assert estim.median_of_blocks_batch(row, 0.1, m=10).tolist() == [blocks[0, 1]]
-    assert estim.truncated_es_batch(row, 0.1, m=10).tolist() == [math.inf]
+    median = estim.EstimatorConfig("median_of_blocks", m=10)
+    assert median.evaluate_batch(row, 0.1).tolist() == [blocks[0, 1]]
+    assert estim.EstimatorConfig("truncated", m=10).evaluate_batch(row, 0.1).tolist() == [math.inf]
     # beta = 1 sits at frac 1 of the last interval: 0 * -inf + 1 * 5 would be nan
     row = np.array([[-math.inf] * 10 + [5.0] * 10])
     top = estim.block_estimates_batch(row, 0.1, m=10)[0, 1]
     full = estim.plugin_es_batch(row, 0.1)[0]
     with pytest.warns(UserWarning, match="range"):
-        got = estim.truncated_es_batch(row, 0.1, m=10, beta1=0.5, beta2=1.0)
+        got = estim.EstimatorConfig("truncated", m=10, beta1=0.5, beta2=1.0).evaluate_batch(row, 0.1)
     assert got.tolist() == [min(full, top)] and math.isfinite(top)
 
 
@@ -273,7 +274,8 @@ def test_batch_matches_scalar(alpha, gap):
         [estim.plugin_es(r, alpha) for r in samples], atol=1e-12,
     )
     got, lower, upper = (
-        estim.truncated_es_batch(samples, alpha, m=11, beta1=b1, beta2=b2, gap=gap)
+        estim.EstimatorConfig("truncated", m=11, beta1=b1, beta2=b2, gap=gap).evaluate_batch(
+            samples, alpha)
         for b1, b2 in ((0.4, 0.6), (0.4, 0.4), (0.6, 0.6)))
     singles = [estim.truncated_es_interval(r, alpha, m=11, beta1=0.4, beta2=0.6, gap=gap)
                for r in samples]
@@ -281,7 +283,7 @@ def test_batch_matches_scalar(alpha, gap):
     assert np.allclose(lower, [s[1] for s in singles], atol=1e-12)
     assert np.allclose(upper, [s[2] for s in singles], atol=1e-12)
     assert np.allclose(
-        estim.median_of_blocks_batch(samples, alpha, m=11, gap=gap),
+        estim.EstimatorConfig("median_of_blocks", m=11, gap=gap).evaluate_batch(samples, alpha),
         [estim.median_of_blocks(r, alpha, m=11, gap=gap) for r in samples], atol=1e-12,
     )
     assert np.allclose(
@@ -339,9 +341,11 @@ def test_scalar_is_one_row_batch_on_edge_samples(kind, case):
         "plugin": (lambda: estim.plugin_es(x, alpha),
                    lambda: estim.plugin_es_batch(x[None, :], alpha)),
         "truncated": (lambda: estim.truncated_es(x, alpha, m, 0.5, 0.6),
-                      lambda: estim.truncated_es_batch(x[None, :], alpha, m, 0.5, 0.6)),
+                      lambda: estim.EstimatorConfig("truncated", m=m, beta1=0.5, beta2=0.6)
+                      .evaluate_batch(x[None, :], alpha)),
         "median_of_blocks": (lambda: estim.median_of_blocks(x, alpha, m),
-                             lambda: estim.median_of_blocks_batch(x[None, :], alpha, m)),
+                             lambda: estim.EstimatorConfig("median_of_blocks", m=m)
+                             .evaluate_batch(x[None, :], alpha)),
         "trimmed": (lambda: estim.trimmed_es(x, alpha),
                     lambda: estim.trimmed_es_batch(x[None, :], alpha)),
     }[kind]

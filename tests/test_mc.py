@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from shortfall import cli, corrupt, dist, estim, mc, rng
 from shortfall.errors import ParameterError
@@ -97,7 +98,7 @@ def test_workers_capped_at_sub_batches(monkeypatch):
     class RecordingPool:
         """Records each pool's size and chunk size and runs its jobs inline, in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             started.append(max_workers)
 
         def __enter__(self):
@@ -316,6 +317,48 @@ def test_declined_sub_batch_keeps_the_sample_path_bits(monkeypatch):
     got = mc.run_trials_multi(process, _PATH_ESTIMATORS, 0.1, n, trials, 5, model, workers=1)
     assert declined == [True, True, True]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+_DECLINES = {
+    # -1e-17 lies between the quantiles of 1/2 - 2**-54 and 1/2: no float below 1/2 is free
+    "level_one_half": (-1e-17, None),
+    # a cdf 1e-14 high guesses about 90 bins above the level of 0.3, out of the search's reach
+    "window_miss": (0.3, lambda self, t: special.ndtr(t) + 1e-14),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DECLINES))
+def test_declined_stand_ins_keep_the_sample_path_bits(monkeypatch, case):
+    value, cdf = _DECLINES[case]
+    model = corrupt.ReplaceIndices(frozenset({2}), value)
+    process, n, trials = dist.IID(dist.Normal(0.0, 1.0)), 400, 200
+    want = estim.evaluate_many(_PATH_ESTIMATORS, mc.draw_trial_samples(process, n, 5, 0, trials, model),
+                               0.1)
+    if cdf is not None:
+        monkeypatch.setattr(dist.Normal, "cdf", cdf)
+    found, declined = [], []
+    reaching_levels, stand_ins = mc._reaching_levels, mc._stand_ins
+
+    def reaching_spy(*args):
+        found.append(reaching_levels(*args))
+        return found[-1]
+
+    def stand_ins_spy(*args):
+        transform = stand_ins(*args)
+        declined.append(transform is None)
+        return transform
+
+    monkeypatch.setattr(mc, "_reaching_levels", reaching_spy)
+    monkeypatch.setattr(mc, "_stand_ins", stand_ins_spy)
+    for workers in (1, 2):
+        got = mc.run_trials_multi(process, _PATH_ESTIMATORS, 0.1, n, trials, 5, model, workers)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert declined == [True, True, True]  # seen from this process, so at one worker
+    if cdf is None:
+        assert all(level.tolist() == [0.5] * level.size and np.all(reached > value)
+                   for level, reached in found)
+    else:
+        assert found == [None, None, None]
 
 
 def test_estimator_precondition_reported():
