@@ -48,7 +48,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParameterError, check_alpha, check_fields, checked_numbers, json_object
+from .errors import (ParameterError, check_alpha, check_fields, checked_numbers, integer,
+                     json_object, number)
 
 __all__ = [
     "EstimatorConfig",
@@ -161,16 +162,18 @@ def _interp_sorted(ordered: np.ndarray, beta: float) -> np.ndarray:
     return (1.0 - frac) * ordered[..., j] + frac * ordered[..., j + 1]
 
 
-def _check_layout(m: int, gap: int) -> None:
+def _check_layout(m, gap) -> tuple[int, int]:
+    """``(m, gap)`` as ints: a block size >= 1 and a gap >= 0."""
+    m, gap = integer(m, "m"), integer(gap, "gap")
     if m < 1:
         raise ParameterError(f"m: block size must be >= 1 (got {m})")
     if gap < 0:
         raise ParameterError(f"gap: must be >= 0 (got {gap})")
+    return m, gap
 
 
 def _block_count(n: int, m: int, gap: int, need: int = 1) -> int:
     """Complete blocks of stride ``m + gap`` in ``n`` values; at least ``need``."""
-    _check_layout(m, gap)
     count = n // (m + gap)
     if count < need:
         max_m = n // need - gap
@@ -181,7 +184,7 @@ def _block_count(n: int, m: int, gap: int, need: int = 1) -> int:
 
 
 def _block_view(a: np.ndarray, m: int, gap: int) -> np.ndarray:
-    """Reshape trailing axis into complete blocks; drops leftover samples."""
+    """Reshape trailing axis into complete blocks of a checked layout; drops leftover samples."""
     count = _block_count(a.shape[-1], m, gap)
     stride = m + gap
     return a[..., : count * stride].reshape(*a.shape[:-1], count, stride)[..., gap:]
@@ -201,28 +204,21 @@ def block_estimates_batch(samples, alpha: float, m: int, gap: int = 0,
     """Row-wise block estimates; shape (trials, n_blocks)."""
     alpha = check_alpha(alpha)
     a = _as_batch(samples)
-    blocks = _block_view(a, m, gap)
+    blocks = _block_view(a, *_check_layout(m, gap))
     n_rows, n_blocks, width = blocks.shape
     flat = plugin_es_batch(blocks.reshape(n_rows * n_blocks, width), alpha, transform)
     return flat.reshape(n_rows, n_blocks)
 
 
-def _check_beta_order(beta1: float, beta2: float) -> None:
+def _check_betas(beta1: float, beta2: float) -> None:
     if not 0.0 <= beta1 <= beta2 <= 1.0:
         raise ParameterError(
             f"beta1/beta2: need 0 <= beta1 <= beta2 <= 1 (got {beta1}, {beta2})"
         )
-
-
-def _check_betas(beta1: float, beta2: float) -> None:
-    _check_beta_order(beta1, beta2)
     lo, hi = THEORY_BETA_RANGE
     if beta1 < lo or beta2 > hi:
         warnings.warn(
-            f"quantile levels ({beta1}, {beta2}) lie outside the guaranteed "
-            f"range [{lo}, {hi}]",
-            stacklevel=2,  # the estimator's line, not its caller's: see evaluate_many
-        )
+            f"quantile levels ({beta1}, {beta2}) lie outside the guaranteed range [{lo}, {hi}]")
 
 
 def _clamp(full: np.ndarray, blocks: np.ndarray, beta1: float, beta2: float):
@@ -244,6 +240,7 @@ def truncated_es_interval(sample, alpha: float, m: int = DEFAULT_M,
     a = _one_row(sample)
     alpha = check_alpha(alpha)
     _check_betas(beta1, beta2)
+    m, gap = _check_layout(m, gap)
     _block_count(a.shape[1], m, gap, need=2)
     blocks = np.sort(block_estimates_batch(a, alpha, m, gap), axis=-1)
     rows = _clamp(plugin_es_batch(a, alpha), blocks, beta1, beta2)
@@ -262,15 +259,18 @@ def median_of_blocks(sample, alpha: float, m: int = DEFAULT_M, gap: int = 0) -> 
     return EstimatorConfig("median_of_blocks", m=m, gap=gap).evaluate(sample, alpha)
 
 
-def _check_trim(c: float, exponent: float) -> None:
+def _check_trim(c, exponent) -> tuple[float, float]:
+    """``(c, exponent)`` as floats: a finite constant > 0 and a finite exponent."""
+    c, exponent = number(c, "trim_c"), number(exponent, "trim_exp")
     if not 0.0 < c < math.inf:
         raise ParameterError(f"trim_c: trimming constant must be finite and > 0 (got {c})")
     if not math.isfinite(exponent):
         raise ParameterError(f"trim_exp: trimming exponent must be finite (got {exponent})")
+    return c, exponent
 
 
 def _trim_count(n: int, c: float, exponent: float) -> int:
-    _check_trim(c, exponent)
+    c, exponent = _check_trim(c, exponent)
     try:
         k = math.floor(c * n**exponent)
     except OverflowError:  # c * N**exponent beyond the float range
@@ -333,7 +333,7 @@ class EstimatorConfig:
         if self.kind in ("truncated", "median_of_blocks"):
             _check_layout(self.m, self.gap)
         if self.kind == "truncated":
-            _check_beta_order(self.beta1, self.beta2)
+            _check_betas(self.beta1, self.beta2)
         if self.kind == "trimmed":
             _check_trim(self.trim_c, self.trim_exponent)
 
@@ -352,7 +352,13 @@ class EstimatorConfig:
         return float(self.evaluate_batch(_one_row(sample), alpha)[0])
 
     def evaluate_batch(self, samples, alpha: float) -> np.ndarray:
-        return evaluate_many((self,), samples, alpha)[0]
+        """Row-wise estimates; warns where a median of blocks has a single block."""
+        a = _as_batch(samples)
+        out = evaluate_many((self,), a, alpha)[0]
+        if self.kind == "median_of_blocks" and _block_count(a.shape[1], self.m, self.gap) == 1:
+            warnings.warn(
+                "only one complete block; median of blocks degenerates to a single block estimate")
+        return out
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -383,8 +389,8 @@ def evaluate_many(estimators, samples, alpha: float, transform=None) -> list[np.
     ``(m, gap)`` layout are computed once and shared by every estimator that
     needs them, so each result has the bits of that estimator evaluated alone.
     With a ``transform`` the estimates are those of ``transform(samples)``
-    (see the module docstring for the contract).  Its warnings point here, not
-    at the caller, so Python's default filter shows each once per process.
+    (see the module docstring for the contract).  It gives no warning: the
+    configs and :meth:`EstimatorConfig.evaluate_batch` do.
     """
     alpha = check_alpha(alpha)
     a = _as_batch(samples)
@@ -396,13 +402,8 @@ def evaluate_many(estimators, samples, alpha: float, transform=None) -> list[np.
         if est.kind == "plugin":
             out.append(full())
         elif est.kind == "median_of_blocks":
-            ordered = blocks(est.m, est.gap)
-            if ordered.shape[1] == 1:
-                warnings.warn("only one complete block; median of blocks degenerates "
-                              "to a single block estimate")
-            out.append(_interp_sorted(ordered, 0.5))
+            out.append(_interp_sorted(blocks(est.m, est.gap), 0.5))
         elif est.kind == "truncated":
-            _check_betas(est.beta1, est.beta2)
             _block_count(a.shape[1], est.m, est.gap, need=2)
             out.append(_clamp(full(), blocks(est.m, est.gap), est.beta1, est.beta2)[0])
         else:

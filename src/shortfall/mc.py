@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -188,6 +187,7 @@ def resolve_workers(workers: int = 0) -> int:
 
     The env var takes the same counts, 0 for auto included.
     """
+    workers = integer(workers, "workers")
     if workers < 0:
         raise ParameterError(f"workers: must be >= 0 (got {workers})")
     if workers:
@@ -344,25 +344,15 @@ def _concat(parts) -> list[np.ndarray]:
 
 
 def _check_trial_zero(estimators, alpha: float, n: int, corruption: CorruptionModel) -> None:
-    """Trial 0's corruption and estimators on an empty (0, n) batch: the kernels' checks."""
+    """Trial 0's corruption and estimators on an empty (0, n) batch: the kernels' checks,
+    and the one-block warning of a median of blocks: once per N, never per sub-batch."""
     empty = apply_corruption_batch(np.empty((0, n)), corruption, np.empty(0, np.uint64))
     for est in estimators:
         try:
-            estim.evaluate_many((est,), empty, alpha)
+            est.evaluate_batch(empty, alpha)
         except ParameterError as exc:
             raise ParameterError(f"estimator {est.label()}: {exc} "
                                  "(failure would occur at trial 0)") from None
-
-
-def _ignore_estimator_warnings() -> None:
-    """A worker's filter: its sub-batches repeat no warning that trial 0 raised already.
-
-    The main process sets none, since changing the filters resets Python's
-    once-per-location registry and trial 0 would warn again at every N; its
-    sub-batches repeat the location of trial 0's warnings instead (see
-    :func:`shortfall.estim.evaluate_many`).
-    """
-    warnings.simplefilter("ignore", UserWarning)
 
 
 def run_trials_multi(process: ProcessSpec, estimators, alpha: float, n: int,
@@ -384,7 +374,7 @@ def run_trials_multi(process: ProcessSpec, estimators, alpha: float, n: int,
     batch = partial(_run_batch, process, estimators, alpha, n, master_seed, corruption, rows, trials)
     if workers == 1:
         return _concat(map(batch, starts))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_ignore_estimator_warnings) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return _concat(pool.map(batch, starts, chunksize=-(-len(starts) // workers)))
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -154,6 +154,7 @@ def uniforms(seed: int, n: int) -> np.ndarray:
 
 def uniform_matrix(seeds: np.ndarray, n: int) -> np.ndarray:
     """Row ``b`` holds ``uniforms(seeds[b], n)``; shape (len(seeds), n)."""
+    n = integer(n, "n")
     if n < 0:
         raise ParameterError(f"n: must be >= 0 (got {n})")
     steps = _U_GOLDEN * np.arange(1, n + 1, dtype=np.uint64)

@@ -499,8 +499,10 @@ def test_overflow_curve_raises_no_runtime_warning(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_beta_range_warning_printed_once(tmp_path, capfd, workers):
-    # printed from a fresh process: the test runner records warnings instead of printing them
-    estimators = [{"kind": "plugin"}, {"kind": "truncated", "m": 250, "beta1": 0.2, "beta2": 0.6}]
+    # printed from a fresh process: the test runner records warnings instead of printing them;
+    # the median of blocks has one block at the smallest N, 1250
+    estimators = [{"kind": "plugin"}, {"kind": "truncated", "m": 250, "beta1": 0.2, "beta2": 0.6},
+                  {"kind": "median_of_blocks", "m": 1250}]
     path = _bench_config(tmp_path, estimators=estimators)
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -509,6 +511,7 @@ def test_beta_range_warning_printed_once(tmp_path, capfd, workers):
                    timeout=300)
     err = capfd.readouterr().err
     assert err.count("guaranteed range") == 1
+    assert err.count("one complete block") == 1
 
 
 # --- mixing -----------------------------------------------------------------------

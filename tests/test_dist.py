@@ -138,6 +138,8 @@ def test_sample_reproducible():
     spec = dist.Pareto(1.0, 2.0)
     assert np.array_equal(dist.sample(spec, 1000, 9), dist.sample(spec, 1000, 9))
     assert not np.array_equal(dist.sample(spec, 1000, 9), dist.sample(spec, 1000, 10))
+    with pytest.raises(ParameterError, match=r"^n: must be an integer \(got 2.5\)$"):
+        dist.sample(spec, 2.5, 9)
 
 
 def test_pareto_sample_mean():

@@ -151,9 +151,20 @@ def test_block_leftovers_dropped():
 def test_block_zero_blocks_rejected():
     with pytest.raises(ParameterError, match="m"):
         estim.block_estimates([1.0, 2.0], 0.1, m=5, gap=0)
-    for m, gap, message in ((0, 0, "m: block size must be >= 1"), (5, -1, "gap: must be >= 0")):
+    for m, gap, message in ((0, 0, "m: block size must be >= 1"), (5, -1, "gap: must be >= 0"),
+                            (2.5, 0, r"^m: must be an integer \(got 2.5\)$"),
+                            (True, 0, r"^m: must be an integer \(got True\)$"),
+                            (5, 1.5, r"^gap: must be an integer \(got 1.5\)$")):
         with pytest.raises(ParameterError, match=message):
             estim.block_estimates([1.0, 2.0], 0.1, m=m, gap=gap)
+        with pytest.raises(ParameterError, match=message):
+            estim.block_estimates_batch([[1.0, 2.0]], 0.1, m=m, gap=gap)
+    x = np.arange(100.0)
+    for call in (estim.truncated_es, estim.truncated_es_interval):
+        with pytest.raises(ParameterError, match=r"^m: must be an integer \(got 2.5\)$"):
+            call(x, 0.1, m=2.5)
+        with pytest.raises(ParameterError, match=r"^gap: must be an integer \(got 1.5\)$"):
+            call(x, 0.1, m=10, gap=1.5)
 
 
 # --- truncated ---------------------------------------------------------------------
@@ -518,6 +529,10 @@ def test_estimator_config_roundtrip_and_eval():
             estim.EstimatorConfig("trimmed", trim_exponent=exponent)
         with pytest.raises(ParameterError, match="trim_exp"):
             estim.trimmed_es(x, 0.1, exponent=exponent)
+    for c, exponent, message in (("x", 1.0, "^trim_c: must be a number"),
+                                 (0.25, None, "^trim_exp: must be a number")):
+        with pytest.raises(ParameterError, match=message):
+            estim.trimmed_es_batch(x[None, :], 0.1, c=c, exponent=exponent)
     for c, exponent in ((1e308, 1.0 / 3.0), (0.25, 1e10)):  # finite, but c * N**exponent overflows
         with pytest.raises(ParameterError, match="whole sample"):
             estim.trimmed_es(x, 0.1, c=c, exponent=exponent)

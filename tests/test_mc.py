@@ -98,7 +98,7 @@ def test_workers_capped_at_sub_batches(monkeypatch):
     class RecordingPool:
         """Records each pool's size and chunk size and runs its jobs inline, in this process."""
 
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             started.append(max_workers)
 
         def __enter__(self):
@@ -129,6 +129,21 @@ def test_workers_capped_at_sub_batches(monkeypatch):
     assert started == [3, 2] and chunks == [1, math.ceil(5 / 2)]
     serial = mc.run_trials_multi(process, ests, 0.1, n, trials, 5, workers=1)
     assert np.array_equal(pooled[0], serial[0])
+
+
+def test_sub_batches_give_no_warning():
+    # one block of 250 at N = 400, and levels outside the guaranteed range: the
+    # configs and trial 0 warn, the 25 sub-batches of 81 trials do not
+    median = estim.EstimatorConfig("median_of_blocks", m=250)
+    with pytest.warns(UserWarning, match="guaranteed range"):
+        truncated = estim.EstimatorConfig("truncated", m=100, beta1=0.2)
+    process = dist.IID(dist.Pareto(1.0, 2.2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mc.run_trials_multi(process, (median, truncated), 0.1, 400, 2000, 5, workers=1)
+    messages = [str(w.message) for w in caught]
+    assert sum("one complete block" in text for text in messages) == 1
+    assert not any("guaranteed range" in text for text in messages)
 
 
 def test_trials_depend_on_master_seed():
@@ -624,6 +639,9 @@ def test_resolve_workers_env(monkeypatch):
     assert mc.resolve_workers(5) == 5
     with pytest.raises(ParameterError):
         mc.resolve_workers(-1)
+    for bad in (2.5, True):
+        with pytest.raises(ParameterError, match=rf"^workers: must be an integer \(got {bad}\)$"):
+            mc.resolve_workers(bad)
     monkeypatch.setenv("SHORTFALL_WORKERS", "0")  # auto, as for an explicit 0
     assert mc.resolve_workers(0) == max(1, min(os.cpu_count() or 1, 8))
     for bad in ("abc", "2.5", "-2"):

@@ -26,6 +26,9 @@ def test_negative_length_rejected():
         with pytest.raises(ParameterError, match=r"^n: must be >= 0 \(got -1\)$"):
             draw(-1)
         assert draw(0).size == 0
+        for bad in (2.5, True):
+            with pytest.raises(ParameterError, match=rf"^n: must be an integer \(got {bad}\)$"):
+                draw(bad)
 
 
 def test_uniform_matrix_matches_streams():
