@@ -12,8 +12,10 @@ Subcommands:
 Experiment commands read a JSON config (``--config``), write CSV files into
 ``--out`` and are fully deterministic: rerunning a config produces
 byte-identical CSV.  ``run_meta.json`` records the master seed and a hash of
-the config that changes iff any config field changes.  Worker count comes
-from ``--workers`` (0 = auto, overridable via the SHORTFALL_WORKERS env var).
+the config that changes iff any config field changes.  Each computes all its
+files before it creates ``--out`` (:func:`_write_run`), so a failure writes
+nothing.  Worker count comes from ``--workers`` (0 = auto, overridable via
+the SHORTFALL_WORKERS env var).
 """
 
 from __future__ import annotations
@@ -87,8 +89,11 @@ def cmd_table1(args) -> int:
         raise ShortfallError(f"--alphas: need at least one alpha (got {args.alphas!r})")
     rows = table1_rows(alphas)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(report.table1_to_csv(rows), newline="\n")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(report.table1_to_csv(rows), newline="\n")
+    except OSError as exc:
+        raise ShortfallError(f"cannot write {out}: {exc}")
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -121,40 +126,42 @@ def _file_tag(spec: mc.ExperimentSpec, index: int) -> str:
     return f"{index}_{spec.estimators[index].kind}"
 
 
-def _prepare_out(args, cfg: dict) -> Path:
-    mc.resolve_workers(args.workers)  # the last argument check before any output
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_run(args, cfg: dict, files) -> None:
+    """Create ``--out``, then write ``run_meta.json`` and each ``(name, text)`` of ``files``.
+
+    The one step of a config command that writes; each calls it last, with all its files.
+    """
     meta = {
         "version": CONFIG_VERSION,
         "master_seed": cfg.get("master_seed"),
         "spec_hash": report.spec_hash(cfg),
         "config": cfg,
     }
-    (out / "run_meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", newline="\n"
-    )
-    return out
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in [("run_meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n"), *files]:
+            (out / name).write_text(text, newline="\n")
+    except OSError as exc:
+        raise ShortfallError(f"cannot write {out}: {exc}")
+    for name, _ in files:
+        print(f"wrote {out / name}")
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, newline="\n")
-    print(f"wrote {path}")
-
-
-def _write_curves(args, out: Path, spec: mc.ExperimentSpec, curves, title: str) -> None:
-    for i, curve in enumerate(curves):
-        _write(out / f"curve_{_file_tag(spec, i)}.csv", report.curve_to_csv(curve))
+def _curve_files(args, spec: mc.ExperimentSpec, curves, title: str) -> list:
+    """The CSV of each curve and, under ``--svg``, one chart of them all."""
+    files = [(f"curve_{_file_tag(spec, i)}.csv", report.curve_to_csv(curve))
+             for i, curve in enumerate(curves)]
     if args.svg:
         labelled = [(est.label(), c) for est, c in zip(spec.estimators, curves)]
-        _write(out / "curve.svg", report.curve_svg(labelled, title=title))
+        files.append(("curve.svg", report.curve_svg(labelled, title=title)))
+    return files
 
 
 def cmd_curve(args) -> int:
     cfg, spec = _load_config(args.config)
-    out = _prepare_out(args, cfg)
     curves = mc.deviation_curves(spec, workers=args.workers)
-    _write_curves(args, out, spec, curves, f"delta={spec.delta:g}")
+    _write_run(args, cfg, _curve_files(args, spec, curves, f"delta={spec.delta:g}"))
     return 0
 
 
@@ -167,12 +174,9 @@ def _histogram_n(args, spec: mc.ExperimentSpec) -> int:
     return n
 
 
-def _histograms(args, spec: mc.ExperimentSpec, n: int, runs) -> list:
-    """(file stem, title, histogram) of each estimator of each ``(spec, phase)`` in ``runs``.
-
-    Every histogram is computed before any is written, so a failed command writes nothing.
-    """
-    out = []
+def _histogram_files(args, spec: mc.ExperimentSpec, n: int, runs) -> list:
+    """The histogram CSV (and SVG under ``--svg``) of each estimator of each ``(spec, phase)``."""
+    files = []
     for run, phase in runs:
         for i, (est, estimates) in enumerate(zip(spec.estimators, mc.run_trials(run, n, args.workers))):
             title = f"{est.label()} ({phase})" if phase else est.label()
@@ -180,22 +184,17 @@ def _histograms(args, spec: mc.ExperimentSpec, n: int, runs) -> list:
                 hist = mc.histogram(estimates, args.bins)
             except ParameterError as exc:
                 raise ParameterError(f"{exc}; estimator {title}") from None
-            out.append((f"hist_{_file_tag(spec, i)}" + (f"_{phase}" if phase else ""), title, hist))
-    return out
-
-
-def _write_histograms(args, out: Path, histograms) -> None:
-    for stem, title, hist in histograms:
-        _write(out / f"{stem}.csv", report.histogram_to_csv(hist))
-        if args.svg:
-            _write(out / f"{stem}.svg", report.histogram_svg(hist, title=title))
+            stem = f"hist_{_file_tag(spec, i)}" + (f"_{phase}" if phase else "")
+            files.append((f"{stem}.csv", report.histogram_to_csv(hist)))
+            if args.svg:
+                files.append((f"{stem}.svg", report.histogram_svg(hist, title=title)))
+    return files
 
 
 def cmd_hist(args) -> int:
     cfg, spec = _load_config(args.config)
     n = _histogram_n(args, spec)
-    histograms = _histograms(args, spec, n, ((spec, None),))
-    _write_histograms(args, _prepare_out(args, cfg), histograms)
+    _write_run(args, cfg, _histogram_files(args, spec, n, ((spec, None),)))
     return 0
 
 
@@ -208,10 +207,9 @@ def cmd_corrupt_demo(args) -> int:
     corruption = spec.corruption if not isinstance(spec.corruption, NoCorruption) else DEMO_CORRUPTION
     clean = dataclasses.replace(spec, sample_sizes=(n,), corruption=NoCorruption())
     dirty = dataclasses.replace(clean, corruption=corruption)  # checks the attack at n
-    histograms = _histograms(args, spec, n, ((clean, "clean"), (dirty, "corrupted")))
-    out = _prepare_out(args, cfg)
+    files = _histogram_files(args, spec, n, ((clean, "clean"), (dirty, "corrupted")))
     print(f"corruption: {model_to_json(corruption)}")
-    _write_histograms(args, out, histograms)
+    _write_run(args, cfg, files)
     return 0
 
 
@@ -219,10 +217,9 @@ def _oracle_size(cfg: dict) -> tuple[int, int]:
     """The checked (block_size, blocks) of a mixing config's long-run variance oracle."""
     oracle = cfg.get("oracle", {})
     check_fields(oracle, ("block_size", "blocks"), "oracle")
-    sizes = (integer(oracle.get("block_size", 10_000), "config: oracle: block_size"),
-             integer(oracle.get("blocks", 200), "config: oracle: blocks"))
-    mc.check_oracle_size(*sizes)
-    return sizes
+    return mc.check_oracle_size(
+        integer(oracle.get("block_size", 10_000), "config: oracle: block_size"),
+        integer(oracle.get("blocks", 200), "config: oracle: blocks"))
 
 
 def cmd_mixing(args) -> int:
@@ -230,18 +227,18 @@ def cmd_mixing(args) -> int:
     if not isinstance(spec.process, AR1):
         raise ShortfallError("config: the mixing command expects an \"ar1\" process")
     block_size, blocks = _oracle_size(cfg)
-    out = _prepare_out(args, cfg)
     curves = mc.deviation_curves(spec, workers=args.workers)
-    _write_curves(args, out, spec, curves, f"AR(1) rho={spec.process.rho:g}")
-    _write(out / "mixing_summary.csv", report.rows_to_csv(
+    files = _curve_files(args, spec, curves, f"AR(1) rho={spec.process.rho:g}")
+    files.append(("mixing_summary.csv", report.rows_to_csv(
         "estimator,N,median_abs_error,p_hat,stderr,count",
         [(est.kind, pt.n, pt.median_abs_error, pt.p_hat, pt.stderr, pt.count)
-         for est, curve in zip(spec.estimators, curves) for pt in curve.points]))
+         for est, curve in zip(spec.estimators, curves) for pt in curve.points])))
     rows = []
     for label, process in (("ar1", spec.process), ("iid_normal", IID(spec.process.marginal))):
         sigma2 = mc.longrun_sigma_oracle(process, spec.alpha, block_size, blocks, spec.master_seed)
         rows.append((label, block_size, blocks, sigma2))
-    _write(out / "longrun_sigma.csv", report.rows_to_csv("process,block_size,blocks,sigma2", rows))
+    files.append(("longrun_sigma.csv", report.rows_to_csv("process,block_size,blocks,sigma2", rows)))
+    _write_run(args, cfg, files)
     return 0
 
 

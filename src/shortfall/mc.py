@@ -110,6 +110,8 @@ class ExperimentSpec:
             raise ParameterError("estimators: need at least one estimator")
         if not self.delta > 0.0:
             raise ParameterError(f"delta: must be > 0 (got {self.delta})")
+        if math.isinf(self.truth):  # NaN means no truth given
+            raise ParameterError(f"truth: must be finite, or NaN for none (got {self.truth})")
         if self.trials < 1:
             raise ParameterError(f"trials: must be >= 1 (got {self.trials})")
         sizes = tuple(integer(n, "sample_sizes") for n in sequence(self.sample_sizes, "sample_sizes"))
@@ -365,6 +367,8 @@ def run_trials_multi(process: ProcessSpec, estimators, alpha: float, n: int,
     """
     alpha = check_alpha(alpha)
     estimators = tuple(estimators)
+    n, trials, master_seed = (integer(n, "n"), integer(trials, "trials"),
+                              integer(master_seed, "master_seed"))
     if trials < 1:
         raise ParameterError(f"trials: must be >= 1 (got {trials})")
     _check_trial_zero(estimators, alpha, n, corruption)
@@ -410,10 +414,12 @@ def deviation_curves(spec: ExperimentSpec, workers: int = 0) -> tuple[DeviationC
     return tuple(DeviationCurve(spec.delta, spec.trials, tuple(p)) for p in points)
 
 
-def check_bins(bins: int) -> None:
-    """Validate a histogram bin count: at least one bin."""
+def check_bins(bins: int) -> int:
+    """A histogram bin count, checked: a whole number of at least one bin."""
+    bins = integer(bins, "bins")
     if bins < 1:
         raise ParameterError(f"bins: must be >= 1 (got {bins})")
+    return bins
 
 
 def histogram(estimates, bins: int) -> HistogramResult:
@@ -422,7 +428,7 @@ def histogram(estimates, bins: int) -> HistogramResult:
     Values falling exactly on an interior edge count toward the lower bin (the
     global minimum stays in the first bin).
     """
-    check_bins(bins)
+    bins = check_bins(bins)
     est = np.asarray(estimates, dtype=np.float64).ravel()
     if est.size == 0:
         raise ParameterError("estimates: must be nonempty")
@@ -441,12 +447,14 @@ def histogram(estimates, bins: int) -> HistogramResult:
     return HistogramResult(edges, counts, lo, hi, est.size)
 
 
-def check_oracle_size(block_size: int, blocks: int) -> None:
-    """Validate the batch-means layout of :func:`longrun_sigma_oracle`."""
+def check_oracle_size(block_size: int, blocks: int) -> tuple[int, int]:
+    """The batch-means layout ``(block_size, blocks)`` of :func:`longrun_sigma_oracle`, checked."""
+    block_size, blocks = integer(block_size, "block_size"), integer(blocks, "blocks")
     if blocks < 100:
         raise ParameterError(f"blocks: need >= 100 batches for a stable estimate (got {blocks})")
     if block_size < 2:
         raise ParameterError(f"block_size: must be >= 2 (got {block_size})")
+    return block_size, blocks
 
 
 def longrun_sigma_oracle(process: ProcessSpec, alpha: float, block_size: int,
@@ -459,8 +467,9 @@ def longrun_sigma_oracle(process: ProcessSpec, alpha: float, block_size: int,
     to the asymptotic variance of the plug-in estimator.
     """
     alpha = check_alpha(alpha)
-    check_oracle_size(block_size, blocks)
+    block_size, blocks = check_oracle_size(block_size, blocks)
     total = block_size * blocks
-    path = _draw_batch(process, np.array([seed & rng.MASK64], dtype=np.uint64), total)[0]
+    seeds = np.array([integer(seed, "seed") & rng.MASK64], dtype=np.uint64)
+    path = _draw_batch(process, seeds, total)[0]
     batch_estimates = estim.plugin_es_batch(path.reshape(blocks, block_size), alpha)
     return float(block_size * batch_estimates.var(ddof=1))

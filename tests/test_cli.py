@@ -321,6 +321,11 @@ def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_co
                                          "sigma": math.inf}}, "config: mu: must be finite (got nan)"),
     ("corrupt-demo", [], {"corruption": {"kind": "max_shift_gaussian", "k": 3, "mu": 5.0,
                                          "sigma": math.inf}}, "config: sigma: must be finite (got inf)"),
+    # NaN is no truth given, so no curves; an infinite truth is an error
+    ("curve", ["--workers", "1"], {"truth": math.nan}, "error: truth: "),
+    ("mixing", ["--workers", "1"], {"truth": math.nan}, "error: truth: "),
+    ("curve", [], {"truth": math.inf}, "config: truth: must be finite, or NaN for none (got inf)"),
+    ("curve", [], {"truth": -math.inf}, "config: truth: must be finite, or NaN for none (got -inf)"),
 ])
 def test_bad_argument_before_output(tmp_path, capsys, trivial_config,
                                     command, flags, overrides, message):
@@ -333,7 +338,7 @@ def test_bad_argument_before_output(tmp_path, capsys, trivial_config,
     code, _, err = run_cli(capsys, command, "--config", str(bad), "--out", str(out), *flags)
     assert code == 2 and message in err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert not (out / "run_meta.json").exists()
+    assert not out.exists()
 
 
 def test_curve_bad_workers_env(tmp_path, capsys, monkeypatch, trivial_config):
@@ -474,6 +479,30 @@ def test_histogram_command_that_fails_writes_nothing(tmp_path, capsys, command):
     assert "estimator plugin" in err and "median_of_blocks" not in err
     assert ("plugin (corrupted)" in err) == (command == "corrupt-demo")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out", [
+    ("curve", "taken"),
+    ("curve", "taken/out"),
+    ("hist", "taken"),
+    ("corrupt-demo", "taken"),
+    ("mixing", "taken"),
+    ("table1", "taken/t.csv"),
+])
+def test_out_that_names_a_file_is_one_line_error(tmp_path, capsys, trivial_config, command, out):
+    _, cfg = trivial_config
+    path = tmp_path / "config.json"
+    if command == "mixing":
+        cfg = dict(cfg, process={"kind": "ar1", "rho": 0.5}, oracle={"block_size": 100, "blocks": 100})
+    path.write_text(json.dumps(cfg))
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    flags = ["--alphas", "0.1"] if command == "table1" else ["--config", str(path), "--workers", "1"]
+    code, stdout, err = run_cli(capsys, command, "--out", str(tmp_path / out), *flags)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {tmp_path / out}: ")
+    assert "wrote" not in stdout
+    assert taken.read_text() == "keep\n"
 
 
 def _bench_config(tmp_path, **overrides) -> Path:

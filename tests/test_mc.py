@@ -632,6 +632,32 @@ def test_longrun_oracle_validation():
         mc.longrun_sigma_oracle(dist.AR1(0.5), 0.1, 1, 200, 0)
 
 
+_RUN = dict(process=dist.IID(dist.Exponential(1.0)), estimators=(estim.EstimatorConfig("plugin"),),
+            alpha=0.1, n=100, trials=10, master_seed=7, workers=1)
+_ORACLE = dict(process=dist.AR1(0.5), alpha=0.1, block_size=1000, blocks=100, seed=0)
+
+
+@pytest.mark.parametrize("fn, kwargs, field", [
+    (mc.histogram, dict(estimates=[1.0, 2.0], bins=2.5), "bins"),
+    (mc.histogram, dict(estimates=[1.0, 2.0], bins=True), "bins"),
+    (mc.longrun_sigma_oracle, dict(_ORACLE, block_size=2.5), "block_size"),
+    (mc.longrun_sigma_oracle, dict(_ORACLE, blocks=100.5), "blocks"),
+    (mc.longrun_sigma_oracle, dict(_ORACLE, seed=0.5), "seed"),
+    (mc.run_trials_multi, dict(_RUN, n=100.5), "n"),
+    (mc.run_trials_multi, dict(_RUN, trials=10.5), "trials"),
+    (mc.run_trials_multi, dict(_RUN, master_seed=1.5), "master_seed"),
+])
+def test_library_counts_are_whole_numbers(fn, kwargs, field):
+    with pytest.raises(ParameterError, match=rf"^{field}: must be an integer \(got "):
+        fn(**kwargs)
+
+
+def test_library_counts_written_as_floats_are_read_as_ints():
+    whole = mc.run_trials_multi(**dict(_RUN, n=100.0, trials=10.0, master_seed=7.0))
+    assert np.array_equal(whole[0], mc.run_trials_multi(**_RUN)[0])
+    assert mc.histogram([1.0, 2.0], 2.0).counts.tolist() == [1, 1]
+
+
 def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("SHORTFALL_WORKERS", "3")
     assert mc.resolve_workers(0) == 3
