@@ -69,11 +69,17 @@ def _family(cls):
     among the uniforms (see :mod:`shortfall.mc`).  A family declared
     ``cheap_quantile`` evaluates its quantile in a few vectorized passes,
     which costs less than placing stand-ins for a corrupted trial, so the
-    engine builds its corrupted samples instead.
+    engine builds its corrupted samples instead.  A family declared
+    ``iterative_quantile`` inverts its cdf numerically, at about 630 ns a
+    point against 7.5 to 48 ns for a closed form, so the engine evaluates it
+    once per distinct point of a sub-batch, through a memo that costs about
+    130 ns per point read; on a closed form the memo costs more than it
+    saves.
     """
     cls = checked_numbers(cls)
     cls.has_atoms = getattr(cls, "has_atoms", False)
     cls.cheap_quantile = getattr(cls, "cheap_quantile", False)
+    cls.iterative_quantile = getattr(cls, "iterative_quantile", False)
     unbounded_below = getattr(cls, "unbounded_below", False)
     quantile = vars(cls)["quantile"]
 
@@ -168,6 +174,7 @@ class StudentT:
     """Student-t distribution with ``nu`` degrees of freedom (location 0, scale 1)."""
 
     unbounded_below: ClassVar[bool] = True
+    iterative_quantile: ClassVar[bool] = True  # stdtrit and a Newton polish
     nu: float
 
     def __post_init__(self):

@@ -376,6 +376,93 @@ def test_declined_stand_ins_keep_the_sample_path_bits(monkeypatch, case):
         assert found == [None, None, None]
 
 
+_DEMO_ESTIMATORS = (estim.EstimatorConfig("plugin"),
+                    estim.EstimatorConfig("truncated", m=250, beta1=0.5, beta2=0.6),
+                    estim.EstimatorConfig("median_of_blocks", m=250),
+                    estim.EstimatorConfig("trimmed"))
+
+
+@pytest.mark.parametrize("family, model, memo", [
+    pytest.param(dist.StudentT(2.5), corrupt.NoCorruption(), True, id="student_t"),
+    pytest.param(dist.StudentT(2.5), corrupt.MaxShiftGaussian(3, 5.0, 250.0), True,
+                 id="student_t-max_shift"),
+    pytest.param(dist.Normal(0.0, 1.0), corrupt.NoCorruption(), False, id="normal"),
+    pytest.param(dist.Pareto(1.0, 2.2), corrupt.NoCorruption(), False, id="pareto"),
+])
+def test_quantile_points_per_sub_batch(monkeypatch, family, model, memo):
+    # an iterative quantile sees each distinct point a sub-batch reads once; others every point read
+    n, trials = 1250, 60  # sub-batches of 26, 26 and 8 rows
+    counted, read, distinct, inside = [], [], [], [False]
+    quantile, evaluate_many = type(family).quantile, estim.evaluate_many
+
+    def counting(self, u):
+        if inside[0]:
+            counted.append(np.size(u))
+        return quantile(self, u)
+
+    def spy(estimators, u, alpha, transform=None):
+        if transform is None:  # the checks on trial 0
+            return evaluate_many(estimators, u, alpha)
+        seen = []
+        evaluate_many(estimators, u.copy(), alpha, lambda points: seen.append(points.ravel()) or points)
+        read.append(sum(points.size for points in seen))
+        distinct.append(np.unique(np.concatenate(seen)).size)
+        inside[0] = True
+        try:
+            return evaluate_many(estimators, u, alpha, transform)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(type(family), "quantile", counting)
+    monkeypatch.setattr(estim, "evaluate_many", spy)
+    mc.run_trials_multi(dist.IID(family), _DEMO_ESTIMATORS, 0.1, n, trials, 23, model, workers=1)
+    assert len(read) == 3  # every sub-batch runs on the uniforms
+    assert sum(counted) == sum(distinct if memo else read)
+    assert sum(distinct) < sum(read)
+
+
+def _recorded(transform, calls):
+    def record(points):
+        calls.append(points.copy())
+        return transform(points)
+    return record
+
+
+def test_memo_has_the_bits_of_the_transform_and_sees_each_point_once():
+    family = dist.StudentT(2.5)
+    u = rng.uniform_matrix(np.arange(4, dtype=np.uint64), 400)
+    u[1, 310] = u[0, 305]
+    assert np.unique(u[:, 300:]).size == u[:, 300:].size - 1  # one value in two rows
+    calls = []
+    memo = mc._memo(_recorded(family.quantile, calls))
+    for segment, fresh in ((u[:, 300:], u[:, 300:]),  # misses entirely
+                           (u[:, :100], u[:, :100]),  # a second call that misses entirely
+                           (u[:, 320:], None),        # hits entirely
+                           (u[:, 50:350], u[:, 100:300]),  # both
+                           (np.empty((0, 7)), None)):
+        got = memo(segment)
+        assert got.shape == segment.shape
+        assert got.tobytes() == family.quantile(segment).tobytes()
+        if fresh is None:
+            assert not calls
+        else:
+            assert calls.pop().tolist() == np.unique(fresh).tolist()
+            assert not calls
+
+
+def test_memo_of_a_stand_in_transform_has_its_bits():
+    family = dist.StudentT(2.5)
+    u = rng.uniform_matrix(np.arange(3, dtype=np.uint64), 400)
+    rows, cols, values = np.array([0, 0, 2]), np.array([4, 9, 9]), np.array([1e3, 2e3, 1e3])
+    transform = mc._stand_ins(u, (rows, cols, values), family)
+    assert u[rows, cols].tolist() == [2.0, 4.0, 2.0]  # key 2 in rows 0 and 2
+    calls = []
+    memo = mc._memo(_recorded(transform, calls))
+    for segment in (u[:, :20], u[:, 5:30], u[:, :30]):
+        assert memo(segment).tobytes() == transform(segment).tobytes()
+    assert sum(call.size for call in calls) == np.unique(u[:, :30]).size
+
+
 def test_estimator_precondition_reported():
     truncated = (estim.EstimatorConfig("truncated", m=250),)
     with pytest.raises(ParameterError, match="trial 0"):
