@@ -122,9 +122,7 @@ def apply_corruption(sample, model: CorruptionModel, seed: int) -> np.ndarray:
     uniform stream of ``seed`` by inverse transform.
     """
     values = np.array(sample, dtype=np.float64, copy=True).ravel()
-    out = apply_corruption_batch(values[None, :], model,
-                                 np.array([seed & rng.MASK64], dtype=np.uint64))
-    return out[0]
+    return apply_corruption_batch(values[None, :], model, rng.seed_row(seed))[0]
 
 
 def apply_corruption_batch(samples: np.ndarray, model: CorruptionModel,
@@ -178,6 +176,7 @@ def corruption_budget(n: int, eps: float) -> int:
     """Number of adversarially modified points tolerated at accuracy scale eps."""
     if not 0.0 < eps <= 1.0:
         raise ParameterError(f"eps: must lie in (0, 1] (got {eps})")
+    n = integer(n, "N")
     if n < 0:
         raise ParameterError(f"N: must be >= 0 (got {n})")
     # nudge up by 1 ulp so exact integer ratios are not pulled below the floor

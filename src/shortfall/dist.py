@@ -67,18 +67,16 @@ def _family(cls):
     equal values.  Every other family's quantile function is strictly
     increasing, which lets the Monte Carlo engine select order statistics
     among the uniforms (see :mod:`shortfall.mc`).  A family declared
-    ``cheap_quantile`` evaluates its quantile in a few vectorized passes,
-    which costs less than placing stand-ins for a corrupted trial, so the
-    engine builds its corrupted samples instead.  A family declared
     ``iterative_quantile`` inverts its cdf numerically, at about 630 ns a
     point against 7.5 to 48 ns for a closed form, so the engine evaluates it
     once per distinct point of a sub-batch, through a memo that costs about
-    130 ns per point read; on a closed form the memo costs more than it
-    saves.
+    130 ns per point read, and keeps its corrupted trials on the uniforms
+    with stand-in keys in the memo's table.  On a closed form the memo costs
+    more than it saves, and the stand-ins about as much as the quantile, so
+    the engine builds its corrupted samples instead.
     """
     cls = checked_numbers(cls)
     cls.has_atoms = getattr(cls, "has_atoms", False)
-    cls.cheap_quantile = getattr(cls, "cheap_quantile", False)
     cls.iterative_quantile = getattr(cls, "iterative_quantile", False)
     unbounded_below = getattr(cls, "unbounded_below", False)
     quantile = vars(cls)["quantile"]
@@ -264,7 +262,6 @@ class Lognormal:
 class Pareto:
     """Pareto distribution: F(t) = 1 - (x0/t)^lam on [x0, inf)."""
 
-    cheap_quantile: ClassVar[bool] = True  # one subtraction, one power, one product
     x0: float
     lam: float
 
@@ -443,7 +440,7 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
 
     Identical ``(spec, n, seed)`` triples give bit-identical output.
     """
-    return sample_matrix(spec, np.array([seed & rng.MASK64], dtype=np.uint64), n)[0]
+    return sample_matrix(spec, rng.seed_row(seed), n)[0]
 
 
 def sample_matrix(spec: DistributionSpec, seeds: np.ndarray, n: int) -> np.ndarray:
@@ -462,7 +459,7 @@ def _ar1_from_innovations(rho: float, z: np.ndarray) -> np.ndarray:
 
 def ar1_path(rho: float, n: int, seed: int) -> np.ndarray:
     """Stationary standard-normal AR(1) path of length ``n``."""
-    return ar1_paths(rho, np.array([seed & rng.MASK64], dtype=np.uint64), n)[0]
+    return ar1_paths(rho, rng.seed_row(seed), n)[0]
 
 
 def ar1_paths(rho: float, seeds: np.ndarray, n: int) -> np.ndarray:

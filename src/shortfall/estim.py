@@ -35,8 +35,8 @@ q(a) < q(b) exactly when a < b, and q(a) == q(b) exactly when a == b.  Then
 partitioning the row makes the same comparisons as partitioning its image,
 the segments hold the same values in the same order, and the results have
 the same bits.  The Monte Carlo engine passes a family's quantile function
-with a matrix of uniforms, or a map that also sends the stand-in keys of
-corrupted cells to their values.
+with a matrix of uniforms, or a memo of it whose table also sends the
+stand-in keys of corrupted cells to their values.
 """
 
 from __future__ import annotations

@@ -20,30 +20,32 @@ its sample matrix X = quantile(U): the estimators partition the uniforms U
 and apply the quantile function only to the top segments they read (20–30 %
 of the points at alpha = 0.1; see :mod:`shortfall.estim`).  The quantile
 function is strictly increasing there, so the estimates have the bits of the
-estimators on X.  A corruption model names the cells it changes from U (see
-:func:`shortfall.corrupt.changed_cells`), and each changed cell gets a
-stand-in key in U that compares with its row as the new value compares with
-the row's samples: a level of the generator's grid, or the float just below
-one, for a value up to the row's top, and a key of 2 or more above it.  The
-transform maps the keys back to the values with one table lookup (see
-:func:`_stand_ins`).  A sub-batch for which no such keys exist takes the
-sample path, with the same bits.  An AR(1) process, a family with atoms
-(distinct levels map to one value), and a corrupted trial whose stand-ins
-would cost more than its quantile (a ``cheap_quantile`` family, or an attack
-on more than a 24th of the row) take the sample path through
-:func:`draw_trial_samples`.
+estimators on X.
 
 For a family declared ``iterative_quantile`` (Student-t: ``stdtrit`` and a
-Newton polish, about 630 ns a point), the transform handed to the estimators
+Newton polish, about 630 ns a point), the quantile handed to the estimators
 is wrapped in a memo (:func:`_memo`) that evaluates it once per distinct
-point of the sub-batch, clean or with stand-ins.  The plug-in and ``trimmed``
-read nearly the same top segment, and most block tops lie inside it: at
-N = 3250 with four estimators a clean trial reads 975 points, of which about
-350 are distinct.  Within a sub-batch the transform is a pure function of the
-point, so the memo is exact; it never outlives its sub-batch, whose table of
-stand-in keys it may hold.  It costs about 130 ns per point read, which makes
-clean trials of the closed-form families (7.5 to 48 ns a point) 1.5 to 1.9
-times slower, so no other family gets it.
+point of the sub-batch.  The plug-in and ``trimmed`` read nearly the same top
+segment, and most block tops lie inside it: at N = 3250 with four estimators
+a clean trial reads 975 points, of which about 350 are distinct.  Within a
+sub-batch the quantile is a pure function of the point, so the memo is
+exact.  It costs about 130 ns per point read, which makes clean trials of
+the closed-form families (7.5 to 48 ns a point) 1.5 to 1.9 times slower, so
+no other family gets it.
+
+A corrupted sub-batch of such a family stays on the uniforms too, while the
+attack changes at most a 24th of the row.  The corruption model names the
+cells it changes from U (see :func:`shortfall.corrupt.changed_cells`), and
+each changed cell gets a stand-in key in U that compares with its row as the
+new value compares with the row's samples: a level of the generator's grid,
+or the float just below one, for a value up to the row's top, and a key of 2
+or more above it.  The memo starts from the table of the keys that are not
+levels and their values (see :func:`_stand_ins`), so the quantile sees only
+levels.  A sub-batch for which no such keys exist takes the sample path,
+with the same bits.  An AR(1) process, a family with atoms (distinct levels
+map to one value), a corrupted trial of a closed-form family (the stand-ins
+cost about as much as its quantile) and an attack on more than a 24th of the
+row take the sample path through :func:`draw_trial_samples`.
 """
 
 from __future__ import annotations
@@ -251,29 +253,29 @@ def _run_batch(process: ProcessSpec, estimators: tuple[EstimatorConfig, ...],
     if _on_uniforms(process, corruption, n):
         seeds = rng.split_array(master_seed, n, np.arange(t_start, t_stop, dtype=np.uint64))
         u = rng.uniform_matrix(seeds, n)
-        transform = process.dist.quantile
+        quantile = process.dist.quantile
+        table = (np.empty(0), np.empty(0))
         if not isinstance(corruption, NoCorruption):
-            cells = changed_cells(u, corruption, rng.split_from(seeds, CORRUPTION_STREAM), transform)
-            transform = _stand_ins(u, cells, process.dist)
-        if transform is not None:
-            if process.dist.iterative_quantile:
-                transform = _memo(transform)
+            cells = changed_cells(u, corruption, rng.split_from(seeds, CORRUPTION_STREAM), quantile)
+            table = _stand_ins(u, cells, process.dist)
+        if table is not None:
+            transform = _memo(quantile, *table) if process.dist.iterative_quantile else quantile
             return estim.evaluate_many(estimators, u, alpha, transform)
     samples = draw_trial_samples(process, n, master_seed, t_start, t_stop, corruption)
     return estim.evaluate_many(estimators, samples, alpha)
 
 
-def _memo(transform):
+def _memo(transform, keys: np.ndarray, values: np.ndarray):
     """``transform`` evaluated once per distinct point over the calls of one sub-batch.
 
-    A call passes only the points it has not seen before to ``transform``, as
-    a sorted 1-D array, and returns an array of the input's shape.  Exact for
-    an elementwise ``transform`` that is a pure function of the point, which
-    the quantile and the stand-in transform of one sub-batch are; the stand-in
-    keys belong to their sub-batch, so a memo never outlives it.
+    The memo starts from the sorted table ``keys`` -> ``values`` (the stand-in
+    keys of :func:`_stand_ins`, or empty), whose keys never reach
+    ``transform``.  A call passes only the points it has not seen before to
+    ``transform``, as a sorted 1-D array, and returns an array of the input's
+    shape.  Exact for an elementwise ``transform`` that is a pure function of
+    the point, which the quantile is; the stand-in keys belong to their
+    sub-batch, so a memo never outlives it.
     """
-    keys = values = np.empty(0)
-
     def memo(points: np.ndarray) -> np.ndarray:
         nonlocal keys, values
         distinct, back = np.unique(points, return_inverse=True)
@@ -297,34 +299,31 @@ def _on_uniforms(process: ProcessSpec, corruption: CorruptionModel, n: int) -> b
         return False
     if isinstance(corruption, NoCorruption):
         return True
-    # stand-in time / sample-path time at N = 3250, 4 estimators, on a 2-core Xeon:
-    # Student-t(2.5), with its quantile memo, 0.26, 0.40 and 0.63 for values inside the
-    # samples at k = N/96, N/44 and N/24, and 0.15-0.23 under MaxShiftGaussian(k, 5, 250);
-    # Normal 0.85-1.5 for values inside the samples at the same k, 1.0 under
-    # MaxShiftGaussian(3, 5, 250)
-    return not process.dist.cheap_quantile and 24 * corruption.k <= n
+    # stand-in time / sample-path time for Student-t(2.5), with its quantile memo, at
+    # N = 3250, 4 estimators, on a 2-core Xeon: 0.26, 0.40 and 0.63 for values inside the
+    # samples at k = N/96, N/44 and N/24, and 0.15-0.23 under MaxShiftGaussian(k, 5, 250)
+    return process.dist.iterative_quantile and 24 * corruption.k <= n
 
 
 def _stand_ins(u: np.ndarray, cells, family):
-    """Write a stand-in key into ``u`` for each changed cell; the transform that reads them.
+    """Write a stand-in key into ``u`` for each changed cell; return the table of keys and values.
 
     The key of a cell compares with the other points of its row as its new
-    value compares with their samples, so the estimators on ``u`` with the
-    returned transform give the bits of the estimators on the corrupted X.
-    A value above the quantile of its row's largest uniform, changed cells
-    included, gets a key of 2 or more, ranked by value.  Any other value v
-    gets the smallest level L with quantile(L) >= v (:func:`_reaching_levels`):
-    L itself on a tie, else the float just below L, which no drawn uniform
-    takes.  The transform looks each point up in the table of keys that are
-    not levels and maps a hit back to its value.  ``u`` is written only once
-    every key is known.  Returns None, leaving ``u`` as drawn, where no such
-    key can be found: the cdf misses L by more than ``_LEVEL_REACH`` levels,
-    no float lies below L (L = 1/2), or two different values need one key
-    (two values below the grid, say).
+    value compares with their samples, so the estimators on ``u``, with the
+    quantile looked up in the returned table first (:func:`_memo`), give the
+    bits of the estimators on the corrupted X.  A value above the quantile of
+    its row's largest uniform, changed cells included, gets a key of 2 or
+    more, ranked by value.  Any other value v gets the smallest level L with
+    quantile(L) >= v (:func:`_reaching_levels`): L itself on a tie, which the
+    quantile maps back to v, else the float just below L, which no drawn
+    uniform takes.  The table, sorted by key, holds every key that is not a
+    level.  ``u`` is written only once every key is known.  Returns None,
+    leaving ``u`` as drawn, where no such key can be found: the cdf misses L
+    by more than ``_LEVEL_REACH`` levels, no float lies below L (L = 1/2), or
+    two different values need one key (two values below the grid, say).
     """
     rows, cols, values = cells
-    quantile = family.quantile
-    above = values > quantile(u.max(axis=1))[rows]
+    above = values > family.quantile(u.max(axis=1))[rows]
     keys = np.empty_like(values)
     keys[above] = np.searchsorted(np.sort(values[above]), values[above]) + 2.0
     stored = above.copy()
@@ -345,17 +344,7 @@ def _stand_ins(u: np.ndarray, cells, family):
     if np.any((table_keys[1:] == table_keys[:-1]) & (table_values[1:] != table_values[:-1])):
         return None
     u[rows, cols] = keys
-    if not table_keys.size:
-        return quantile
-
-    def transform(points: np.ndarray) -> np.ndarray:
-        out = quantile(np.minimum(points, 1.0))
-        at = np.searchsorted(table_keys, points, side="right") - 1  # -1 below every key
-        hit = table_keys[at] == points
-        out[hit] = table_values[at[hit]]
-        return out
-
-    return transform
+    return table_keys, table_values
 
 
 def _reaching_levels(values: np.ndarray, family):
@@ -512,7 +501,6 @@ def longrun_sigma_oracle(process: ProcessSpec, alpha: float, block_size: int,
     alpha = check_alpha(alpha)
     block_size, blocks = check_oracle_size(block_size, blocks)
     total = block_size * blocks
-    seeds = np.array([integer(seed, "seed") & rng.MASK64], dtype=np.uint64)
-    path = _draw_batch(process, seeds, total)[0]
+    path = _draw_batch(process, rng.seed_row(seed), total)[0]
     batch_estimates = estim.plugin_es_batch(path.reshape(blocks, block_size), alpha)
     return float(block_size * batch_estimates.var(ddof=1))

@@ -142,6 +142,14 @@ def _counters_to_unit(z: np.ndarray) -> np.ndarray:
     return unit(np.right_shift(_finalize_array(z), np.uint64(11), out=z))
 
 
+def seed_row(seed: int) -> np.ndarray:
+    """The one-row uint64 seed array of ``seed`` (mod 2**64), for the batch functions.
+
+    ``seed`` must be a whole number (:func:`shortfall.errors.integer`).
+    """
+    return np.array([integer(seed, "seed") & MASK64], dtype=np.uint64)
+
+
 def uniforms(seed: int, n: int) -> np.ndarray:
     """``n`` uniforms in (0, 1] from the stream of ``seed``.
 
@@ -149,7 +157,7 @@ def uniforms(seed: int, n: int) -> np.ndarray:
     docstring): a bin midpoint below 1/2, an even bin edge from 1/2 up, and
     exactly 1.0 with probability 2**-53.
     """
-    return uniform_matrix(np.array([seed & MASK64], dtype=np.uint64), n)[0]
+    return uniform_matrix(seed_row(seed), n)[0]
 
 
 def uniform_matrix(seeds: np.ndarray, n: int) -> np.ndarray:

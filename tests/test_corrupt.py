@@ -116,6 +116,8 @@ def test_budget_values():
         corrupt.corruption_budget(100, 0.0)
     with pytest.raises(ParameterError, match="N: must be >= 0"):
         corrupt.corruption_budget(-1, 0.5)
+    with pytest.raises(ParameterError, match=r"N: must be an integer \(got 3250.7\)"):
+        corrupt.corruption_budget(3250.7, 0.21)
 
 
 @pytest.mark.parametrize("build, message", [

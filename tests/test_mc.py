@@ -215,9 +215,14 @@ _PATH_CASES = [
                  id="replace_largest"),
     pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.ReplaceIndices(frozenset({1, 7}), 1e3), False,
                  id="replace_indices"),
-    # corrupted trials keep their uniforms, with stand-ins, unless the stand-ins cost more:
-    # for a cheap quantile, or an attack on a quarter of the row
-    *(pytest.param(dist.IID(family), model, family.cheap_quantile or name == "max_shift_quarter",
+    # the edge of the route at N = 400: stand-ins up to k = 16, samples from k = 17
+    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.MaxShiftGaussian(16, 5.0, 250.0), False,
+                 id="max_shift_16"),
+    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.MaxShiftGaussian(17, 5.0, 250.0), True,
+                 id="max_shift_17"),
+    # corrupted trials of an iterative quantile keep their uniforms, with stand-ins, unless the
+    # attack changes more than a 24th of the row; closed forms build their corrupted samples
+    *(pytest.param(dist.IID(family), model, not family.iterative_quantile or name == "max_shift_quarter",
                    id=f"{type(family).__name__.lower()}-{name}")
       for family in _PATH_FAMILIES for name, model in _attacks(family).items()),
 ]
@@ -276,12 +281,16 @@ def test_stand_ins_give_the_bits_of_the_corrupted_samples(family, attack):
     seeds = rng.split_array(23, n, np.arange(trials, dtype=np.uint64))
     u = rng.uniform_matrix(seeds, n)
     cells = corrupt.changed_cells(u, model, rng.split_from(seeds, mc.CORRUPTION_STREAM), family.quantile)
-    transform = mc._stand_ins(u, cells, family)
-    assert transform is not None
-    got = estim.evaluate_many(_PATH_ESTIMATORS, u, 0.1, transform)
+    table = mc._stand_ins(u, cells, family)
+    assert table is not None
+    calls = []
+    got = estim.evaluate_many(_PATH_ESTIMATORS, u, 0.1, mc._memo(_recorded(family.quantile, calls), *table))
     samples = mc.draw_trial_samples(dist.IID(family), n, 23, 0, trials, model)
     want = estim.evaluate_many(_PATH_ESTIMATORS, samples, 0.1)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # the quantile sees each point once, and no key of the table
+    points = np.concatenate(calls)
+    assert np.unique(points).size == points.size and not np.isin(points, table[0]).any()
 
 
 def test_stand_ins_decline_a_key_they_cannot_give():
@@ -293,16 +302,21 @@ def test_stand_ins_decline_a_key_they_cannot_give():
     assert second < level  # two values that both need the one float below 0.75
     rows, cols = np.array([0, 2]), np.array([4, 9])
     keys = u.copy()
-    transform = mc._stand_ins(keys, (rows, cols, np.array([first, first])), family)
+    table = mc._stand_ins(keys, (rows, cols, np.array([first, first])), family)
     assert keys[rows, cols].tolist() == [np.nextafter(0.75, 0.0)] * 2
-    assert transform(keys[rows, cols]).tolist() == [first, first]
+    assert mc._memo(family.quantile, *table)(keys[rows, cols]).tolist() == [first, first]
     # the bottom of the grid: a tie keeps unit(0), a value below it takes the float under it
     bottom = rng.unit(np.array([0]))[0]
     keys = u.copy()
     values = np.array([family.quantile(bottom), -1e308])
-    transform = mc._stand_ins(keys, (rows, cols, values), family)
+    table = mc._stand_ins(keys, (rows, cols, values), family)
     assert keys[rows, cols].tolist() == [bottom, np.nextafter(bottom, 0.0)]
-    assert transform(keys[rows, cols]).tolist() == values.tolist()
+    assert mc._memo(family.quantile, *table)(keys[rows, cols]).tolist() == values.tolist()
+    # values above their rows take keys from 2 up, ranked by value; equal values share one
+    keys, above = u.copy(), np.array([1e3, 2e3, 1e3])
+    table = mc._stand_ins(keys, (np.array([0, 0, 2]), np.array([4, 9, 9]), above), family)
+    assert keys[[0, 0, 2], [4, 9, 9]].tolist() == [2.0, 4.0, 2.0]
+    assert mc._memo(family.quantile, *table)(keys[[0, 0, 2], [4, 9, 9]]).tolist() == above.tolist()
     # between the quantiles of 1/2 - 2**-54 and 1/2 no float is free; two values below
     # the grid both need the float under unit(0)
     assert family.quantile(0.5) == 0.0 and family.quantile(0.5 - 2.0**-54) < -1e-17
@@ -314,7 +328,7 @@ def test_stand_ins_decline_a_key_they_cannot_give():
 
 def test_declined_sub_batch_keeps_the_sample_path_bits(monkeypatch):
     # shocks this narrow fall between the quantiles of two adjacent levels
-    family = dist.Normal(0.0, 1.0)
+    family = dist.StudentT(2.5)
     below, level = family.quantile(np.array([0.75 - 2.0**-52, 0.75]))
     model = corrupt.MaxShiftGaussian(3, 0.5 * (below + level), 1e-16)
     process, n, trials = dist.IID(family), 400, 200
@@ -324,9 +338,9 @@ def test_declined_sub_batch_keeps_the_sample_path_bits(monkeypatch):
     stand_ins = mc._stand_ins
 
     def spy(*args):
-        transform = stand_ins(*args)
-        declined.append(transform is None)
-        return transform
+        table = stand_ins(*args)
+        declined.append(table is None)
+        return table
 
     monkeypatch.setattr(mc, "_stand_ins", spy)
     got = mc.run_trials_multi(process, _PATH_ESTIMATORS, 0.1, n, trials, 5, model, workers=1)
@@ -338,7 +352,7 @@ _DECLINES = {
     # -1e-17 lies between the quantiles of 1/2 - 2**-54 and 1/2: no float below 1/2 is free
     "level_one_half": (-1e-17, None),
     # a cdf 1e-14 high guesses about 90 bins above the level of 0.3, out of the search's reach
-    "window_miss": (0.3, lambda self, t: special.ndtr(t) + 1e-14),
+    "window_miss": (0.3, lambda self, t: special.stdtr(self.nu, t) + 1e-14),
 }
 
 
@@ -346,11 +360,11 @@ _DECLINES = {
 def test_declined_stand_ins_keep_the_sample_path_bits(monkeypatch, case):
     value, cdf = _DECLINES[case]
     model = corrupt.ReplaceIndices(frozenset({2}), value)
-    process, n, trials = dist.IID(dist.Normal(0.0, 1.0)), 400, 200
+    process, n, trials = dist.IID(dist.StudentT(2.5)), 400, 200
     want = estim.evaluate_many(_PATH_ESTIMATORS, mc.draw_trial_samples(process, n, 5, 0, trials, model),
                                0.1)
     if cdf is not None:
-        monkeypatch.setattr(dist.Normal, "cdf", cdf)
+        monkeypatch.setattr(dist.StudentT, "cdf", cdf)
     found, declined = [], []
     reaching_levels, stand_ins = mc._reaching_levels, mc._stand_ins
 
@@ -359,9 +373,9 @@ def test_declined_stand_ins_keep_the_sample_path_bits(monkeypatch, case):
         return found[-1]
 
     def stand_ins_spy(*args):
-        transform = stand_ins(*args)
-        declined.append(transform is None)
-        return transform
+        table = stand_ins(*args)
+        declined.append(table is None)
+        return table
 
     monkeypatch.setattr(mc, "_reaching_levels", reaching_spy)
     monkeypatch.setattr(mc, "_stand_ins", stand_ins_spy)
@@ -390,10 +404,12 @@ _DEMO_ESTIMATORS = (estim.EstimatorConfig("plugin"),
     pytest.param(dist.Pareto(1.0, 2.2), corrupt.NoCorruption(), False, id="pareto"),
 ])
 def test_quantile_points_per_sub_batch(monkeypatch, family, model, memo):
-    # an iterative quantile sees each distinct point a sub-batch reads once; others every point read
+    # an iterative quantile sees each distinct point a sub-batch reads once, but no stand-in key;
+    # others every point read
     n, trials = 1250, 60  # sub-batches of 26, 26 and 8 rows
-    counted, read, distinct, inside = [], [], [], [False]
-    quantile, evaluate_many = type(family).quantile, estim.evaluate_many
+    counted, read, distinct, fresh, inside = [], [], [], [], [False]
+    table_keys = [np.empty(0)]
+    quantile, evaluate_many, stand_ins = type(family).quantile, estim.evaluate_many, mc._stand_ins
 
     def counting(self, u):
         if inside[0]:
@@ -406,18 +422,26 @@ def test_quantile_points_per_sub_batch(monkeypatch, family, model, memo):
         seen = []
         evaluate_many(estimators, u.copy(), alpha, lambda points: seen.append(points.ravel()) or points)
         read.append(sum(points.size for points in seen))
-        distinct.append(np.unique(np.concatenate(seen)).size)
+        points = np.unique(np.concatenate(seen))
+        distinct.append(points.size)
+        fresh.append(np.count_nonzero(~np.isin(points, table_keys[0])))
         inside[0] = True
         try:
             return evaluate_many(estimators, u, alpha, transform)
         finally:
             inside[0] = False
 
+    def stand_ins_spy(*args):
+        table = stand_ins(*args)
+        table_keys[0] = table[0]
+        return table
+
     monkeypatch.setattr(type(family), "quantile", counting)
     monkeypatch.setattr(estim, "evaluate_many", spy)
+    monkeypatch.setattr(mc, "_stand_ins", stand_ins_spy)
     mc.run_trials_multi(dist.IID(family), _DEMO_ESTIMATORS, 0.1, n, trials, 23, model, workers=1)
     assert len(read) == 3  # every sub-batch runs on the uniforms
-    assert sum(counted) == sum(distinct if memo else read)
+    assert sum(counted) == sum(fresh if memo else read)
     assert sum(distinct) < sum(read)
 
 
@@ -434,7 +458,7 @@ def test_memo_has_the_bits_of_the_transform_and_sees_each_point_once():
     u[1, 310] = u[0, 305]
     assert np.unique(u[:, 300:]).size == u[:, 300:].size - 1  # one value in two rows
     calls = []
-    memo = mc._memo(_recorded(family.quantile, calls))
+    memo = mc._memo(_recorded(family.quantile, calls), np.empty(0), np.empty(0))
     for segment, fresh in ((u[:, 300:], u[:, 300:]),  # misses entirely
                            (u[:, :100], u[:, :100]),  # a second call that misses entirely
                            (u[:, 320:], None),        # hits entirely
@@ -448,19 +472,6 @@ def test_memo_has_the_bits_of_the_transform_and_sees_each_point_once():
         else:
             assert calls.pop().tolist() == np.unique(fresh).tolist()
             assert not calls
-
-
-def test_memo_of_a_stand_in_transform_has_its_bits():
-    family = dist.StudentT(2.5)
-    u = rng.uniform_matrix(np.arange(3, dtype=np.uint64), 400)
-    rows, cols, values = np.array([0, 0, 2]), np.array([4, 9, 9]), np.array([1e3, 2e3, 1e3])
-    transform = mc._stand_ins(u, (rows, cols, values), family)
-    assert u[rows, cols].tolist() == [2.0, 4.0, 2.0]  # key 2 in rows 0 and 2
-    calls = []
-    memo = mc._memo(_recorded(transform, calls))
-    for segment in (u[:, :20], u[:, 5:30], u[:, :30]):
-        assert memo(segment).tobytes() == transform(segment).tobytes()
-    assert sum(call.size for call in calls) == np.unique(u[:, :30]).size
 
 
 def test_estimator_precondition_reported():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shortfall import mc, rng
+from shortfall import corrupt, dist, mc, rng
 from shortfall.errors import ParameterError
 
 
@@ -29,6 +29,26 @@ def test_negative_length_rejected():
         for bad in (2.5, True):
             with pytest.raises(ParameterError, match=rf"^n: must be an integer \(got {bad}\)$"):
                 draw(bad)
+
+
+_SEEDED = {
+    "uniforms": lambda seed: rng.uniforms(seed, 8),
+    "sample": lambda seed: dist.sample(dist.Normal(0.0, 1.0), 8, seed),
+    "ar1_path": lambda seed: dist.ar1_path(0.5, 8, seed),
+    "apply_corruption": lambda seed: corrupt.apply_corruption(
+        np.zeros(8), corrupt.MaxShiftGaussian(8, 0.0, 1.0), seed),
+    "longrun_sigma_oracle": lambda seed: mc.longrun_sigma_oracle(
+        dist.IID(dist.Normal(0.0, 1.0)), 0.1, 20, 100, seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_seed_is_a_checked_whole_number(name):
+    draw = _SEEDED[name]
+    for bad in (2.5, True):
+        with pytest.raises(ParameterError, match=rf"^seed: must be an integer \(got {bad}\)$"):
+            draw(bad)
+    assert np.asarray(draw(1e5)).tobytes() == np.asarray(draw(100000)).tobytes()
 
 
 def test_uniform_matrix_matches_streams():
