@@ -42,13 +42,17 @@ ESTIMATOR_FLAGS = tuple(f.metadata.get("key", f.name) for f in dataclasses.field
                         if f.name != "kind")
 
 
+def _read_text(path: str) -> str:
+    """The text of ``path``: a file that cannot be opened or decoded is one error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ShortfallError(f"cannot read {path}: {exc}")
+
+
 def _read_data_file(path: str) -> np.ndarray:
     values = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ShortfallError(f"cannot read {path}: {exc}")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -104,9 +108,7 @@ def cmd_table1(args) -> int:
 def _load_config(path: str) -> tuple[dict, mc.ExperimentSpec]:
     """The raw config (recorded in run_meta.json) and the experiment it specifies."""
     try:
-        cfg = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ShortfallError(f"cannot read {path}: {exc}")
+        cfg = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ShortfallError(f"{path}: invalid JSON: {exc}")
     if not isinstance(cfg, dict) or cfg.get("version") != CONFIG_VERSION:

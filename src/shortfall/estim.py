@@ -239,11 +239,10 @@ def truncated_es_interval(sample, alpha: float, m: int = DEFAULT_M,
     """
     a = _one_row(sample)
     alpha = check_alpha(alpha)
-    _check_betas(beta1, beta2)
-    m, gap = _check_layout(m, gap)
-    _block_count(a.shape[1], m, gap, need=2)
-    blocks = np.sort(block_estimates_batch(a, alpha, m, gap), axis=-1)
-    rows = _clamp(plugin_es_batch(a, alpha), blocks, beta1, beta2)
+    est = EstimatorConfig("truncated", m=m, beta1=beta1, beta2=beta2, gap=gap)
+    _block_count(a.shape[1], est.m, est.gap, need=2)
+    blocks = np.sort(block_estimates_batch(a, alpha, est.m, est.gap), axis=-1)
+    rows = _clamp(plugin_es_batch(a, alpha), blocks, est.beta1, est.beta2)
     return tuple(float(r[0]) for r in rows)
 
 

@@ -6,9 +6,9 @@ is active, feeds ``rng.split(trial_seed, CORRUPTION_STREAM)`` to the
 corruptor).  Every trial is therefore a pure function of ``(spec, N, t)``:
 results are bit-identical no matter how trials are batched or how many worker
 processes execute them, and the engine only ever keeps one scalar estimate per
-trial.  Preconditions on ``N`` live in the kernels alone: :class:`ExperimentSpec`
-(at every ``N``) and :func:`run_trials_multi` run trial 0's corruption and
-estimators on an empty ``(0, N)`` batch, so they fail before any trial runs.
+trial.  Preconditions on ``N`` live in the kernels alone: :class:`ExperimentSpec`,
+which :func:`run_trials_multi` builds for its one ``N``, runs trial 0's corruption
+and estimators on an empty ``(0, N)`` batch at every ``N``, so they fail first.
 
 Trials ``[0, trials)`` are cut once into row-wise vectorized sub-batches of
 ``_SUB_BATCH_ELEMENTS // N`` rows, small enough to stay in a per-core L2 cache.
@@ -119,15 +119,19 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_alpha(self.alpha)
+        if not isinstance(self.process, (IID, AR1)):
+            raise ParameterError(f"process: must be an IID or AR1 process (got {self.process!r})")
+        if self.trials < 1:
+            raise ParameterError(f"trials: must be >= 1 (got {self.trials})")
         estimators = sequence(self.estimators, "estimators")
         if not estimators:
             raise ParameterError("estimators: need at least one estimator")
+        if not all(isinstance(est, EstimatorConfig) for est in estimators):
+            raise ParameterError(f"estimators: must be EstimatorConfig objects (got {estimators!r})")
         if not self.delta > 0.0:
             raise ParameterError(f"delta: must be > 0 (got {self.delta})")
         if math.isinf(self.truth):  # NaN means no truth given
             raise ParameterError(f"truth: must be finite, or NaN for none (got {self.truth})")
-        if self.trials < 1:
-            raise ParameterError(f"trials: must be >= 1 (got {self.trials})")
         sizes = tuple(integer(n, "sample_sizes") for n in sequence(self.sample_sizes, "sample_sizes"))
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
             raise ParameterError("sample_sizes: need a nonempty, strictly increasing list of N >= 1")
@@ -237,32 +241,33 @@ def draw_trial_samples(process: ProcessSpec, n: int, master_seed: int,
     The engine's estimates equal the estimators on this matrix, though on the
     uniform path (module docstring) the engine never builds it.
     """
-    ts = np.arange(t_start, t_stop, dtype=np.uint64)
-    seeds = rng.split_array(master_seed, n, ts)
+    n, master_seed = integer(n, "n"), integer(master_seed, "master_seed")
+    t_start, t_stop = integer(t_start, "t_start"), integer(t_stop, "t_stop")
+    if not 0 <= t_start <= t_stop:
+        raise ParameterError(f"t_start/t_stop: need 0 <= t_start <= t_stop (got {t_start}, {t_stop})")
+    seeds = rng.split_array(master_seed, n, np.arange(t_start, t_stop, dtype=np.uint64))
     samples = _draw_batch(process, seeds, n)
     if not isinstance(corruption, NoCorruption):
         samples = apply_corruption_batch(samples, corruption, rng.split_from(seeds, CORRUPTION_STREAM))
     return samples
 
 
-def _run_batch(process: ProcessSpec, estimators: tuple[EstimatorConfig, ...],
-               alpha: float, n: int, master_seed: int, corruption: CorruptionModel,
-               rows: int, trials: int, t_start: int) -> list[np.ndarray]:
-    """Trials ``[t_start, min(t_start + rows, trials))``: one sub-batch."""
-    t_stop = min(t_start + rows, trials)
-    if _on_uniforms(process, corruption, n):
-        seeds = rng.split_array(master_seed, n, np.arange(t_start, t_stop, dtype=np.uint64))
+def _run_batch(spec: ExperimentSpec, n: int, rows: int, t_start: int) -> list[np.ndarray]:
+    """Trials ``[t_start, min(t_start + rows, spec.trials))`` at size ``n``: one sub-batch."""
+    t_stop = min(t_start + rows, spec.trials)
+    if _on_uniforms(spec.process, spec.corruption, n):
+        seeds = rng.split_array(spec.master_seed, n, np.arange(t_start, t_stop, dtype=np.uint64))
         u = rng.uniform_matrix(seeds, n)
-        quantile = process.dist.quantile
+        family = spec.process.dist
         table = (np.empty(0), np.empty(0))
-        if not isinstance(corruption, NoCorruption):
-            cells = changed_cells(u, corruption, rng.split_from(seeds, CORRUPTION_STREAM), quantile)
-            table = _stand_ins(u, cells, process.dist)
+        if not isinstance(spec.corruption, NoCorruption):
+            streams = rng.split_from(seeds, CORRUPTION_STREAM)
+            table = _stand_ins(u, changed_cells(u, spec.corruption, streams, family.quantile), family)
         if table is not None:
-            transform = _memo(quantile, *table) if process.dist.iterative_quantile else quantile
-            return estim.evaluate_many(estimators, u, alpha, transform)
-    samples = draw_trial_samples(process, n, master_seed, t_start, t_stop, corruption)
-    return estim.evaluate_many(estimators, samples, alpha)
+            transform = _memo(family.quantile, *table) if family.iterative_quantile else family.quantile
+            return estim.evaluate_many(spec.estimators, u, spec.alpha, transform)
+    samples = draw_trial_samples(spec.process, n, spec.master_seed, t_start, t_stop, spec.corruption)
+    return estim.evaluate_many(spec.estimators, samples, spec.alpha)
 
 
 def _memo(transform, keys: np.ndarray, values: np.ndarray):
@@ -393,21 +398,18 @@ def run_trials_multi(process: ProcessSpec, estimators, alpha: float, n: int,
                      trials: int, master_seed: int,
                      corruption: CorruptionModel = NoCorruption(),
                      workers: int = 0) -> list[np.ndarray]:
-    """Per-trial estimates for several estimators sharing the same draws.
+    """Per-trial estimates of the one-N :class:`ExperimentSpec` of the arguments (no delta).
 
-    Returns one array of length ``trials`` per estimator, in trial order.
+    Returns one array of length ``trials`` per estimator, all on the same draws, in trial order.
     """
-    alpha = check_alpha(alpha)
-    estimators = tuple(estimators)
-    n, trials, master_seed = (integer(n, "n"), integer(trials, "trials"),
-                              integer(master_seed, "master_seed"))
-    if trials < 1:
-        raise ParameterError(f"trials: must be >= 1 (got {trials})")
-    _check_trial_zero(estimators, alpha, n, corruption)
+    n = integer(n, "n")
+    if n < 1:
+        raise ParameterError(f"n: must be >= 1 (got {n})")
+    spec = ExperimentSpec(process, estimators, alpha, (n,), math.inf, trials, master_seed, corruption)
     rows = max(1, _SUB_BATCH_ELEMENTS // n)
-    starts = range(0, trials, rows)
+    starts = range(0, spec.trials, rows)
     workers = min(resolve_workers(workers), len(starts))
-    batch = partial(_run_batch, process, estimators, alpha, n, master_seed, corruption, rows, trials)
+    batch = partial(_run_batch, spec, n, rows)
     if workers == 1:
         return _concat(map(batch, starts))
     with ProcessPoolExecutor(max_workers=workers) as pool:

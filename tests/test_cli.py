@@ -107,7 +107,10 @@ def test_estimate_parse_error_reports_line(tmp_path, capsys):
         assert err == f"error: {data}: line 4: {bad!r} is not a finite number\n"
     blank = tmp_path / "blank.txt"
     blank.write_text("\n \n")
-    for path, message in ((tmp_path / "missing.txt", "cannot read"), (blank, "no data values found")):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe1\x00.\x005\x00\n\x00")  # UTF-16, not UTF-8
+    for path, message in ((tmp_path / "missing.txt", "cannot read"), (blank, "no data values found"),
+                          (binary, f"cannot read {binary}: 'utf-8' codec can't decode")):
         code, _, err = run_cli(capsys, "estimate", str(path), "--alpha", "0.1")
         assert code == 2 and message in err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
@@ -234,6 +237,9 @@ def test_curve_bad_config(tmp_path, capsys, trivial_config):
     code, _, err = run_cli(capsys, "curve", "--config", str(tmp_path / "none.json"),
                            "--out", str(tmp_path / "o"))
     assert code == 2 and "cannot read" in err and len(err.splitlines()) == 1
+    bad.write_bytes(json.dumps({"version": 1}).encode("utf-16"))  # not UTF-8
+    code, _, err = run_cli(capsys, "curve", "--config", str(bad), "--out", str(tmp_path / "o"))
+    assert code == 2 and err.startswith(f"error: cannot read {bad}: ") and len(err.splitlines()) == 1
     bad.write_text(json.dumps({"version": 1, "alpha": 0.1}))
     code, _, err = run_cli(capsys, "curve", "--config", str(bad),
                            "--out", str(tmp_path / "o"))

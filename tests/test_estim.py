@@ -207,6 +207,16 @@ def test_truncated_beta_order_rejected():
         estim.truncated_es(np.arange(100.0), 0.1, m=10, beta1=0.6, beta2=0.5)
 
 
+@pytest.mark.parametrize("betas, message", [
+    (dict(beta1="0.5"), r"^beta1: must be a number \(got '0.5'\)$"),
+    (dict(beta2=True), r"^beta2: must be a number \(got True\)$"),
+], ids=["str_beta1", "bool_beta2"])
+def test_truncated_betas_follow_the_number_rule(betas, message):
+    for call in (estim.truncated_es, estim.truncated_es_interval):
+        with pytest.raises(ParameterError, match=message):
+            call(np.arange(100.0), 0.1, m=10, **betas)
+
+
 # --- median of blocks ---------------------------------------------------------------
 
 

@@ -733,6 +733,7 @@ def test_longrun_oracle_validation():
 _RUN = dict(process=dist.IID(dist.Exponential(1.0)), estimators=(estim.EstimatorConfig("plugin"),),
             alpha=0.1, n=100, trials=10, master_seed=7, workers=1)
 _ORACLE = dict(process=dist.AR1(0.5), alpha=0.1, block_size=1000, blocks=100, seed=0)
+_DRAW = dict(process=dist.IID(dist.Exponential(1.0)), n=100, master_seed=7, t_start=0, t_stop=10)
 
 
 @pytest.mark.parametrize("fn, kwargs, field", [
@@ -744,10 +745,45 @@ _ORACLE = dict(process=dist.AR1(0.5), alpha=0.1, block_size=1000, blocks=100, se
     (mc.run_trials_multi, dict(_RUN, n=100.5), "n"),
     (mc.run_trials_multi, dict(_RUN, trials=10.5), "trials"),
     (mc.run_trials_multi, dict(_RUN, master_seed=1.5), "master_seed"),
+    (mc.draw_trial_samples, dict(_DRAW, n=2.5), "n"),
+    (mc.draw_trial_samples, dict(_DRAW, master_seed=1.5), "master_seed"),
+    (mc.draw_trial_samples, dict(_DRAW, master_seed=True), "master_seed"),
+    (mc.draw_trial_samples, dict(_DRAW, t_start=0.5), "t_start"),
+    (mc.draw_trial_samples, dict(_DRAW, t_stop=10.5), "t_stop"),
 ])
 def test_library_counts_are_whole_numbers(fn, kwargs, field):
     with pytest.raises(ParameterError, match=rf"^{field}: must be an integer \(got "):
         fn(**kwargs)
+
+
+@pytest.mark.parametrize("t_start, t_stop", [(-1, 10), (5, 4), (-3, -1)])
+def test_draw_trial_samples_takes_an_ordered_range_of_trials(t_start, t_stop):
+    with pytest.raises(ParameterError, match=rf"^t_start/t_stop: need 0 <= t_start <= t_stop "
+                                             rf"\(got {t_start}, {t_stop}\)$"):
+        mc.draw_trial_samples(**dict(_DRAW, t_start=t_start, t_stop=t_stop))
+    assert mc.draw_trial_samples(**dict(_DRAW, t_start=4, t_stop=4)).shape == (0, 100)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n=0), r"^n: must be >= 1 \(got 0\)$"),
+    (dict(n=-5), r"^n: must be >= 1 \(got -5\)$"),
+    (dict(estimators=()), r"^estimators: need at least one estimator$"),
+    (dict(estimators="plugin"), r"^estimators: must be a list \(got 'plugin'\)$"),
+], ids=["n_zero", "n_negative", "no_estimators", "str_estimators"])
+def test_run_trials_multi_checks_its_arguments_as_their_spec(kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        mc.run_trials_multi(**dict(_RUN, **kwargs))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("process", dist.Normal(0.0, 1.0), "process: must be an IID or AR1 process"),
+    ("estimators", ({"kind": "plugin"},), "estimators: must be EstimatorConfig objects"),
+], ids=["bare_family", "json_estimator"])
+def test_spec_and_run_reject_what_no_run_can_use(field, value, message):
+    with pytest.raises(ParameterError, match=rf"^{message} \(got "):
+        _constant_spec(**{field: value})
+    with pytest.raises(ParameterError, match=rf"^{message} \(got "):
+        mc.run_trials_multi(**dict(_RUN, **{field: value}))
 
 
 def test_library_counts_written_as_floats_are_read_as_ints():
