@@ -25,9 +25,9 @@ from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
-from scipy import special as sp
 
 from . import rng
+from .dist import Normal
 from .errors import ParameterError, check_fields, checked_numbers, integer, json_object, sequence
 
 __all__ = [
@@ -160,7 +160,7 @@ def changed_cells(data: np.ndarray, model: CorruptionModel, seeds: np.ndarray,
         return empty, empty, np.empty(0)
     if isinstance(model, MaxShiftGaussian):
         with np.errstate(over="ignore"):  # a shock beyond the float range is an infinity
-            shocks = model.mu + model.sigma * sp.ndtri(rng.uniform_matrix(seeds, model.k))
+            shocks = Normal(model.mu, model.sigma).quantile(rng.uniform_matrix(seeds, model.k))
         head = data[:, : model.k] if quantile is None else quantile(data[:, : model.k])
         rows, cols = np.nonzero(shocks > head)
         return rows, cols, shocks[rows, cols]

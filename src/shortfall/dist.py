@@ -10,17 +10,28 @@ seed alone.
 Families with closed-form quantiles use them directly; the normal and
 Student-t quantiles are evaluated with scipy's deterministic special-function
 inverses (``ndtri`` / ``stdtrit``).
+
+This module is the one place that names scipy, and it loads each scipy
+module on first use (:func:`_lazy`).  ``sp`` (``scipy.special``) runs the
+first time one of its attributes is read, and is the real module from then
+on; ``scipy.signal`` is named only when an AR(1) path is filtered.
+Importing :mod:`shortfall` loads neither, and a run that needs no special
+function (the estimators; the Pareto, Exponential and atom families, whose
+closed forms use numpy alone) never loads them.  The Monte Carlo engine
+draws trial 0 in the parent process, so a pool's workers inherit what a run
+loads (see :mod:`shortfall.mc`).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
-from scipy import special as sp
 
 from . import rng
 from .errors import NoDensityError, ParameterError, check_fields, checked_numbers, json_object
@@ -46,6 +57,21 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _lazy(name: str):
+    """The module ``name``, run when one of its attributes is first read (stdlib LazyLoader)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+sp = _lazy("scipy.special")
 
 
 def _require(condition: bool, field: str, message: str) -> None:
@@ -451,10 +477,10 @@ def sample_matrix(spec: DistributionSpec, seeds: np.ndarray, n: int) -> np.ndarr
 
 def _ar1_from_innovations(rho: float, z: np.ndarray) -> np.ndarray:
     # X_1 = Z_1 (stationary start), X_t = rho*X_{t-1} + sqrt(1-rho^2)*Z_t.
-    from scipy import signal  # deferred: importing scipy.signal loads scipy.stats and more
     w = z * math.sqrt(1.0 - rho * rho)
     w[..., 0] = z[..., 0]
-    return signal.lfilter([1.0], [1.0, -rho], w, axis=-1)
+    # scipy.signal loads scipy.stats and more: only an AR(1) path names it
+    return _lazy("scipy.signal").lfilter([1.0], [1.0, -rho], w, axis=-1)
 
 
 def ar1_path(rho: float, n: int, seed: int) -> np.ndarray:

@@ -19,11 +19,11 @@ the local Lipschitz constant ``lipschitz_D`` of the quantile function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .dist import (
     AtomMix,
@@ -35,6 +35,7 @@ from .dist import (
     Pareto,
     ScaledBernoulli,
     StudentT,
+    sp,
     spec_to_json,
 )
 from .errors import InfiniteShortfallError, ParameterError, QuadratureError, check_alpha
@@ -130,17 +131,20 @@ def es_exact(spec: DistributionSpec, alpha: float) -> float:
     return es_by_quadrature(spec, alpha)
 
 
-_GAUSS_LOW = sp.roots_legendre(10)
-_GAUSS_HIGH = sp.roots_legendre(21)
 _INITIAL_PANELS, _MAX_PANELS, _MAX_ROUNDS = 8, 16384, 120
+
+
+@functools.cache
+def _gauss_rules():
+    """The Gauss-Legendre 10- and 21-point rules (scipy's nodes: numpy's differ in the last bit)."""
+    return sp.roots_legendre(10), sp.roots_legendre(21)
 
 
 def _panel_rule(f, panels: np.ndarray):
     """High/low Gauss estimates per panel; panels has shape (P, 2)."""
     mid = 0.5 * (panels[:, 0] + panels[:, 1])
     half = 0.5 * (panels[:, 1] - panels[:, 0])
-    xs_l, ws_l = _GAUSS_LOW
-    xs_h, ws_h = _GAUSS_HIGH
+    (xs_l, ws_l), (xs_h, ws_h) = _gauss_rules()
     low = half * (f(mid[:, None] + np.outer(half, xs_l)) @ ws_l)
     high = half * (f(mid[:, None] + np.outer(half, xs_h)) @ ws_h)
     return high, np.abs(high - low)

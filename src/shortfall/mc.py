@@ -7,8 +7,11 @@ corruptor).  Every trial is therefore a pure function of ``(spec, N, t)``:
 results are bit-identical no matter how trials are batched or how many worker
 processes execute them, and the engine only ever keeps one scalar estimate per
 trial.  Preconditions on ``N`` live in the kernels alone: :class:`ExperimentSpec`,
-which :func:`run_trials_multi` builds for its one ``N``, runs trial 0's corruption
-and estimators on an empty ``(0, N)`` batch at every ``N``, so they fail first.
+which :func:`run_trials_multi` builds for its one ``N``, runs trial 0's draw,
+corruption and estimators on an empty ``(0, N)`` batch at every ``N``, so they
+fail first.  That draw also loads, in the parent process, the scipy modules
+the process needs (:mod:`shortfall.dist` loads them on first use), so the
+workers of a pool inherit them instead of each loading its own.
 
 Trials ``[0, trials)`` are cut once into row-wise vectorized sub-batches of
 ``_SUB_BATCH_ELEMENTS // N`` rows, small enough to stay in a per-core L2 cache.
@@ -89,6 +92,15 @@ CORRUPTION_STREAM = 0x636F7272
 #: a sub-batch fit a 2 MB per-core L2 (much smaller pays more in call overhead).
 _SUB_BATCH_ELEMENTS = 1 << 15
 
+# A sub-batch's temporaries are 256 KB each, above glibc's initial mmap threshold of
+# 128 KB.  glibc raises that threshold to the size of each mapped block freed (up to
+# 32 MB) and returns the heap's top to the OS once twice the threshold is free there,
+# so at 256 KB it trims at the end of every sub-batch, and the next one faults its
+# pages back in: up to 150k minor faults, about a quarter of the time, in a headline
+# curve pass at one worker.  Freeing one block of 16 temporaries first sets the
+# threshold to 4 MB.  Under another allocator the block is only allocated and freed.
+np.empty(16 * _SUB_BATCH_ELEMENTS)
+
 #: Levels on each side of the cdf's guess that the stand-in search reaches.  It
 #: checks the ``4 * _LEVEL_REACH + 1`` bins around the guess, since from 1/2 up
 #: two adjacent bins share a level.  Over 43k samples and MaxShiftGaussian(3, 5,
@@ -135,10 +147,10 @@ class ExperimentSpec:
         sizes = tuple(integer(n, "sample_sizes") for n in sequence(self.sample_sizes, "sample_sizes"))
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
             raise ParameterError("sample_sizes: need a nonempty, strictly increasing list of N >= 1")
-        for n in sizes:
-            _check_trial_zero(estimators, self.alpha, n, self.corruption)
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "estimators", estimators)
+        for n in sizes:
+            _check_trial_zero(self, n)
 
     def to_json(self) -> dict:
         return {
@@ -246,6 +258,12 @@ def draw_trial_samples(process: ProcessSpec, n: int, master_seed: int,
     if not 0 <= t_start <= t_stop:
         raise ParameterError(f"t_start/t_stop: need 0 <= t_start <= t_stop (got {t_start}, {t_stop})")
     seeds = rng.split_array(master_seed, n, np.arange(t_start, t_stop, dtype=np.uint64))
+    return _draw_rows(process, n, seeds, corruption)
+
+
+def _draw_rows(process: ProcessSpec, n: int, seeds: np.ndarray,
+               corruption: CorruptionModel) -> np.ndarray:
+    """The (corrupted) samples of the trials with data streams ``seeds``."""
     samples = _draw_batch(process, seeds, n)
     if not isinstance(corruption, NoCorruption):
         samples = apply_corruption_batch(samples, corruption, rng.split_from(seeds, CORRUPTION_STREAM))
@@ -334,7 +352,7 @@ def _stand_ins(u: np.ndarray, cells, family):
     stored = above.copy()
     inside = ~above
     if inside.any():
-        v = values[inside]
+        v, back = np.unique(values[inside], return_inverse=True)  # one search per value
         found = _reaching_levels(v, family)
         if found is None:
             return None
@@ -342,8 +360,8 @@ def _stand_ins(u: np.ndarray, cells, family):
         tie = reached == v
         if np.any(~tie & (level == 0.5)):
             return None
-        keys[inside] = np.where(tie, level, np.nextafter(level, 0.0))
-        stored[inside] = ~tie
+        keys[inside] = np.where(tie, level, np.nextafter(level, 0.0))[back]
+        stored[inside] = ~tie[back]
     order = np.argsort(keys[stored])
     table_keys, table_values = keys[stored][order], values[stored][order]
     if np.any((table_keys[1:] == table_keys[:-1]) & (table_values[1:] != table_values[:-1])):
@@ -382,13 +400,15 @@ def _concat(parts) -> list[np.ndarray]:
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _check_trial_zero(estimators, alpha: float, n: int, corruption: CorruptionModel) -> None:
-    """Trial 0's corruption and estimators on an empty (0, n) batch: the kernels' checks,
-    and the one-block warning of a median of blocks: once per N, never per sub-batch."""
-    empty = apply_corruption_batch(np.empty((0, n)), corruption, np.empty(0, np.uint64))
-    for est in estimators:
+def _check_trial_zero(spec: ExperimentSpec, n: int) -> None:
+    """Trial 0's draw, corruption and estimators on an empty (0, n) batch: the kernels'
+    checks, and the one-block warning of a median of blocks: once per N, never per
+    sub-batch.  The draw loads what the process's quantile (or AR(1) filter) needs
+    before any pool forks."""
+    empty = _draw_rows(spec.process, n, np.empty(0, np.uint64), spec.corruption)
+    for est in spec.estimators:
         try:
-            est.evaluate_batch(empty, alpha)
+            est.evaluate_batch(empty, spec.alpha)
         except ParameterError as exc:
             raise ParameterError(f"estimator {est.label()}: {exc} "
                                  "(failure would occur at trial 0)") from None

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,6 +292,23 @@ def test_stand_ins_give_the_bits_of_the_corrupted_samples(family, attack):
     # the quantile sees each point once, and no key of the table
     points = np.concatenate(calls)
     assert np.unique(points).size == points.size and not np.isin(points, table[0]).any()
+
+
+def test_stand_ins_search_once_per_distinct_inside_value():
+    # one value inside the samples on k cells of every row: one window of 21 levels goes
+    # through the quantile, not 21 * k * rows, beside the row maxima
+    family, n, rows = dist.StudentT(2.5), 400, 81
+    model = corrupt.ReplaceIndices(frozenset(range(1, n + 1, 40)), 1.5)
+    seeds = rng.split_array(23, n, np.arange(rows, dtype=np.uint64))
+    u = rng.uniform_matrix(seeds, n)
+    cells = corrupt.changed_cells(u, model, rng.split_from(seeds, mc.CORRUPTION_STREAM), family.quantile)
+    calls = []
+    recording = SimpleNamespace(cdf=family.cdf, quantile=_recorded(family.quantile, calls))
+    table = mc._stand_ins(u, cells, recording)
+    assert table is not None and cells[2].size == model.k * rows
+    assert [points.size for points in calls] == [rows, 4 * mc._LEVEL_REACH + 1]
+    assert np.unique(u[cells[0], cells[1]]).size == 1  # the one value has one key
+    assert mc._memo(family.quantile, *table)(u[cells[0], cells[1]]).tolist() == [1.5] * cells[2].size
 
 
 def test_stand_ins_decline_a_key_they_cannot_give():
