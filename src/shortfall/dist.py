@@ -88,18 +88,10 @@ def _family(cls):
     declared ``unbounded_below`` (the inverse is -inf there), as does any level
     outside [0, 1].  NaN levels and empty arrays pass.
 
-    A family declared ``has_atoms`` puts mass on single points, so its
-    quantile function is flat on an interval of levels: distinct levels map to
-    equal values.  Every other family's quantile function is strictly
-    increasing, which lets the Monte Carlo engine select order statistics
-    among the uniforms (see :mod:`shortfall.mc`).  A family declared
-    ``iterative_quantile`` inverts its cdf numerically, at about 630 ns a
-    point against 7.5 to 48 ns for a closed form, so the engine evaluates it
-    once per distinct point of a sub-batch, through a memo that costs about
-    130 ns per point read, and keeps its corrupted trials on the uniforms
-    with stand-in keys in the memo's table.  On a closed form the memo costs
-    more than it saves, and the stand-ins about as much as the quantile, so
-    the engine builds its corrupted samples instead.
+    A family declared ``has_atoms`` puts mass on single points: distinct
+    levels can map to one value.  A family declared ``iterative_quantile``
+    inverts its cdf numerically.  :mod:`shortfall.mc` reads both traits to
+    route its trials.
     """
     cls = checked_numbers(cls)
     cls.has_atoms = getattr(cls, "has_atoms", False)

@@ -114,15 +114,20 @@ def _tail_mean(part: np.ndarray, k: int, n: int, alpha: float, transform=None) -
     tail = part[:, k:n] if transform is None else transform(part[:, k:n])
     with np.errstate(over="ignore"):  # an overflowing row is added again below
         top_sum = tail[:, 1:].sum(axis=-1)
-    out = (top_sum / n + boundary_w * tail[:, 0]) / alpha
+    out = (top_sum / n + _boundary_term(boundary_w, tail)) / alpha
     over = ~np.isfinite(top_sum)
     if over.any():
         # A sum of finite values near 1e308 can overflow while their weighted
         # mean cannot: add those rows again at an exact power-of-two scale.
         scale = 2.0 ** -math.ceil(math.log2(n))
         rows = tail[over] * scale
-        out[over] = (rows[:, 1:].sum(axis=-1) / n + boundary_w * rows[:, 0]) / alpha / scale
+        out[over] = (rows[:, 1:].sum(axis=-1) / n + _boundary_term(boundary_w, rows)) / alpha / scale
     return out
+
+
+def _boundary_term(weight: float, rows: np.ndarray):
+    """``weight`` times the first column of ``rows``, or 0 at a zero weight, where 0 * inf is nan."""
+    return weight * rows[:, 0] if weight else 0.0
 
 
 def plugin_es(sample, alpha: float) -> float:

@@ -36,19 +36,19 @@ exact.  It costs about 130 ns per point read, which makes clean trials of
 the closed-form families (7.5 to 48 ns a point) 1.5 to 1.9 times slower, so
 no other family gets it.
 
-A corrupted sub-batch of such a family stays on the uniforms too, while the
-attack changes at most a 24th of the row.  The corruption model names the
-cells it changes from U (see :func:`shortfall.corrupt.changed_cells`), and
-each changed cell gets a stand-in key in U that compares with its row as the
-new value compares with the row's samples: a level of the generator's grid,
-or the float just below one, for a value up to the row's top, and a key of 2
-or more above it.  The memo starts from the table of the keys that are not
+A corrupted sub-batch of such a family stays on the uniforms too, at any
+number of changed points.  The corruption model names the cells it changes
+from U (see :func:`shortfall.corrupt.changed_cells`), and each changed cell
+gets a stand-in key in U that compares with its row as the new value
+compares with the row's samples: a level of the generator's grid, or the
+float just below one, for a value up to the row's top, and a key of 2 or
+more above it.  The memo starts from the table of the keys that are not
 levels and their values (see :func:`_stand_ins`), so the quantile sees only
 levels.  A sub-batch for which no such keys exist takes the sample path,
 with the same bits.  An AR(1) process, a family with atoms (distinct levels
-map to one value), a corrupted trial of a closed-form family (the stand-ins
-cost about as much as its quantile) and an attack on more than a 24th of the
-row take the sample path through :func:`draw_trial_samples`.
+map to one value) and a corrupted trial of a family without the memo, which
+holds the stand-in table, take the sample path through
+:func:`draw_trial_samples`.
 """
 
 from __future__ import annotations
@@ -273,12 +273,13 @@ def _draw_rows(process: ProcessSpec, n: int, seeds: np.ndarray,
 def _run_batch(spec: ExperimentSpec, n: int, rows: int, t_start: int) -> list[np.ndarray]:
     """Trials ``[t_start, min(t_start + rows, spec.trials))`` at size ``n``: one sub-batch."""
     t_stop = min(t_start + rows, spec.trials)
-    if _on_uniforms(spec.process, spec.corruption, n):
+    family = spec.process.dist if isinstance(spec.process, IID) else None
+    clean = isinstance(spec.corruption, NoCorruption)
+    if family is not None and not family.has_atoms and (clean or family.iterative_quantile):
         seeds = rng.split_array(spec.master_seed, n, np.arange(t_start, t_stop, dtype=np.uint64))
         u = rng.uniform_matrix(seeds, n)
-        family = spec.process.dist
         table = (np.empty(0), np.empty(0))
-        if not isinstance(spec.corruption, NoCorruption):
+        if not clean:
             streams = rng.split_from(seeds, CORRUPTION_STREAM)
             table = _stand_ins(u, changed_cells(u, spec.corruption, streams, family.quantile), family)
         if table is not None:
@@ -314,18 +315,6 @@ def _memo(transform, keys: np.ndarray, values: np.ndarray):
         return out[back].reshape(points.shape)
 
     return memo
-
-
-def _on_uniforms(process: ProcessSpec, corruption: CorruptionModel, n: int) -> bool:
-    """Whether a sub-batch runs on the uniforms (module docstring)."""
-    if not isinstance(process, IID) or process.dist.has_atoms:
-        return False
-    if isinstance(corruption, NoCorruption):
-        return True
-    # stand-in time / sample-path time for Student-t(2.5), with its quantile memo, at
-    # N = 3250, 4 estimators, on a 2-core Xeon: 0.26, 0.40 and 0.63 for values inside the
-    # samples at k = N/96, N/44 and N/24, and 0.15-0.23 under MaxShiftGaussian(k, 5, 250)
-    return process.dist.iterative_quantile and 24 * corruption.k <= n
 
 
 def _stand_ins(u: np.ndarray, cells, family):

@@ -113,6 +113,11 @@ def test_whole_position_next_to_an_inf_is_the_order_statistic():
     with pytest.warns(UserWarning, match="range"):
         got = estim.EstimatorConfig("truncated", m=10, beta1=0.5, beta2=1.0).evaluate_batch(row, 0.1)
     assert got.tolist() == [min(full, top)] and math.isfinite(top)
+    # at alpha = 0.3 and N = 90 the boundary point has weight 0: 0 * inf would be nan
+    row = np.r_[np.zeros(60), np.full(30, math.inf)][None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estim.plugin_es_batch(row, 0.3).tolist() == [math.inf]
 
 
 # --- blocks ------------------------------------------------------------------------

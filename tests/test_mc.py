@@ -216,14 +216,16 @@ _PATH_CASES = [
                  id="replace_largest"),
     pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.ReplaceIndices(frozenset({1, 7}), 1e3), False,
                  id="replace_indices"),
-    # the edge of the route at N = 400: stand-ins up to k = 16, samples from k = 17
-    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.MaxShiftGaussian(16, 5.0, 250.0), False,
-                 id="max_shift_16"),
-    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.MaxShiftGaussian(17, 5.0, 250.0), True,
-                 id="max_shift_17"),
-    # corrupted trials of an iterative quantile keep their uniforms, with stand-ins, unless the
-    # attack changes more than a 24th of the row; closed forms build their corrupted samples
-    *(pytest.param(dist.IID(family), model, not family.iterative_quantile or name == "max_shift_quarter",
+    # Student-t keeps its uniforms at any k: at N = 400, half the points and every point
+    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.MaxShiftGaussian(200, 5.0, 250.0), False,
+                 id="max_shift_half"),
+    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.MaxShiftGaussian(400, 5.0, 250.0), False,
+                 id="max_shift_all"),
+    pytest.param(dist.IID(dist.StudentT(2.5)), corrupt.ReplaceIndices(frozenset(range(1, 401)), 1.5),
+                 False, id="replace_all"),
+    # corrupted trials of an iterative quantile keep their uniforms, with stand-ins; closed
+    # forms build their corrupted samples
+    *(pytest.param(dist.IID(family), model, not family.iterative_quantile,
                    id=f"{type(family).__name__.lower()}-{name}")
       for family in _PATH_FAMILIES for name, model in _attacks(family).items()),
 ]
@@ -642,6 +644,20 @@ def test_curve_requires_truth():
     spec = _constant_spec(truth=math.nan)
     with pytest.raises(ParameterError, match="truth"):
         mc.deviation_curves(spec, workers=1)
+
+
+def test_curve_counts_an_infinite_miss():
+    # alpha = 0.3 at N = 90 gives the boundary point weight 0; shocks that overflow to
+    # +inf make every plug-in estimate inf, which misses the truth by more than delta
+    from shortfall import functionals as fn
+
+    pareto = dist.Pareto(1.0, 2.2)
+    spec = mc.ExperimentSpec(process=dist.IID(pareto), estimators=(estim.EstimatorConfig("plugin"),),
+                             alpha=0.3, sample_sizes=(90,), delta=1.0, trials=200, master_seed=7,
+                             corruption=corrupt.MaxShiftGaussian(90, 1.7e308, 1e308),
+                             truth=fn.es_exact(pareto, 0.3))
+    point = mc.deviation_curves(spec, workers=1)[0].points[0]
+    assert (point.n, point.p_hat, point.count) == (90, 1.0, 200)
 
 
 def test_deviation_probability_stable_across_master_seeds():
