@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -261,6 +262,7 @@ class _Parser(argparse.ArgumentParser):
         raise ShortfallError(f"{self.prog}: {message}")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main()
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="shortfall",

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shortfall import cli, report
+from shortfall import cli, estim, report
 from shortfall.mc import CurvePoint, DeviationCurve, HistogramResult
 
 
@@ -114,6 +114,18 @@ def test_estimate_parse_error_reports_line(tmp_path, capsys):
         code, _, err = run_cli(capsys, "estimate", str(path), "--alpha", "0.1")
         assert code == 2 and message in err
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_estimate_unset_flag_keeps_the_default_on_the_next_call(tmp_path, capsys):
+    # main() reuses one parser; a flag given to one call must not reach the next
+    data = tmp_path / "data.txt"
+    values = np.sin(np.arange(1, 3251)) * np.arange(1, 3251)
+    data.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+    outs = [run_cli(capsys, "estimate", str(data), "--alpha", "0.1", "--kind", "truncated", *m)[1]
+            for m in (["--m", "125"], [])]
+    value, lower, upper = estim.truncated_es_interval(values, 0.1, estim.DEFAULT_M)
+    assert estim.DEFAULT_M != 125 and outs[0] != outs[1]
+    assert outs[1] == f"estimate: {value:.6f}\nclamp interval: [{lower:.6f}, {upper:.6f}]\n"
 
 
 @pytest.mark.parametrize("flags, field", [

@@ -7,7 +7,8 @@ from scipy import integrate
 from conftest import tail_variance_oracle
 from shortfall import dist
 from shortfall import functionals as fn
-from shortfall.errors import InfiniteShortfallError, NoDensityError, ParameterError
+from shortfall.errors import (InfiniteShortfallError, NoDensityError, ParameterError,
+                              QuadratureError)
 
 CONTINUOUS_FINITE_ES = [
     dist.Normal(0.0, 1.0),
@@ -114,6 +115,60 @@ def test_atom_mix_routes_agree_beyond_atom_level():
         exact = fn.es_exact(spec, alpha)
         assert fn.es_by_quadrature(spec, alpha) == pytest.approx(exact, abs=1e-8)
         assert fn.es_by_distortion(spec, alpha) == pytest.approx(exact, abs=1e-8)
+
+
+# --- the adaptive-Gauss engine -----------------------------------------------------
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Counts the engine's rounds: one call of ``_panel_rule`` each."""
+    count = [0]
+    panel_rule = fn._panel_rule
+
+    def counting(f, lo, hi):
+        count[0] += 1
+        return panel_rule(f, lo, hi)
+
+    monkeypatch.setattr(fn, "_panel_rule", counting)
+    return count
+
+
+def test_engine_calls_its_integrand_once_per_round(rounds):
+    calls = []
+
+    def integrand(x):
+        calls.append(x.shape)
+        return np.sqrt(x)
+
+    value = fn._adaptive_gauss(integrand, fn._UNIT_EDGES, 1e-13)
+    assert value == pytest.approx(2.0 / 3.0, abs=1e-13)
+    assert rounds[0] > 1 and len(calls) == rounds[0]
+
+
+def test_engine_raises_at_once_on_a_non_finite_integrand():
+    calls = []
+
+    def integrand(x):
+        calls.append(x.shape)
+        return np.full(x.shape, np.nan)
+
+    with pytest.raises(QuadratureError, match=r"integrand is not finite on \[0, 1\]"):
+        fn._adaptive_gauss(integrand, fn._UNIT_EDGES, 1e-10)
+    assert len(calls) == 1
+    with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="not finite"):
+        fn.es_by_quadrature(dist.Normal(1e308, 1e308), 0.1)
+    with np.errstate(all="ignore"), pytest.raises(QuadratureError, match="not finite"):
+        fn.sigma_es(dist.Exponential(1e-310), 0.1)
+
+
+@pytest.mark.parametrize("spec", fn.TABLE1_CATALOG, ids=lambda s: repr(s))
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+def test_distortion_converges_in_two_rounds_on_table1_cells(rounds, spec, alpha):
+    # the graded start puts the panels where the survival function falls off
+    value = fn.es_by_distortion(spec, alpha)
+    assert rounds[0] <= 2
+    assert value == pytest.approx(fn.es_exact(spec, alpha), rel=1e-10)
 
 
 # --- sigma -------------------------------------------------------------------------

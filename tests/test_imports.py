@@ -49,6 +49,15 @@ def test_closed_form_runs_never_load_special_functions(tmp_path):
     assert _loaded_after(code, "scipy.special._ufuncs") == []
 
 
+def test_ground_truth_never_loads_scipy_linalg(tmp_path):
+    # numpy gives the Gauss-Legendre rules; scipy's roots_legendre would import scipy.linalg
+    code = (f"from shortfall import cli, dist, functionals as fn\n"
+            f"assert cli.main(['table1', '--alphas', '0.1', '--out', {str(tmp_path / 't.csv')!r}]) == 0\n"
+            f"fn.es_by_quadrature(dist.StudentT(2.5), 0.1)\n"
+            f"fn.es_by_distortion(dist.StudentT(2.5), 0.1)")
+    assert _loaded_after(code, "scipy.linalg") == []
+
+
 def test_a_spec_loads_what_its_process_needs_before_any_pool_forks():
     # the parent draws trial 0, so workers inherit the module instead of each importing it
     spec = ("from shortfall import dist, estim, mc\n"
