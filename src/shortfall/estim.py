@@ -18,30 +18,28 @@ consecutive blocks of size m, and ``gap = m`` keeps every other block (the
 layout used for weakly dependent data, where the discarded spacer blocks
 decouple the retained ones).
 
-The kernels :func:`plugin_es_batch`, :func:`block_estimates_batch` and
-:func:`trimmed_es_batch` work row-wise on a (trials, N) matrix with
-``np.partition`` instead of full sorts.  :func:`evaluate_many`, the batch route
-of every estimator, builds the truncated estimator and the median of blocks
-from them, sharing the plug-in and the sorted block estimates of each layout.
-A scalar form is its batch route on a one-row matrix, with the same bits.
+Each kernel (:func:`plugin_es_batch`, :func:`block_estimates_batch`,
+:func:`trimmed_es_batch`) works row-wise on a (trials, N) matrix in two
+steps: *select* partitions each row (or block) with ``np.partition`` instead
+of a full sort and keeps the top segment the plug-in reads; *reduce* takes
+its weighted tail sum.  :func:`evaluate_many`, the batch route of every
+estimator, selects each segment its estimators read once, and builds the
+truncated estimator and the median of blocks from the plug-in and the sorted
+block estimates.  A scalar form is its batch route on a one-row matrix.
 
-Every estimator reads only a top segment of its partitioned sample (of each
-block, for the block estimates).  The batch kernels and :func:`evaluate_many`
-therefore take an optional ``transform``: a vectorized map ``q``, applied
-element by element, such that the estimates are those of ``q(samples)``,
-while ``q`` is applied only to the segments read.  The contract is that ``q``
-is order-preserving within each row: for two entries a, b of one row,
-q(a) < q(b) exactly when a < b, and q(a) == q(b) exactly when a == b.  Then
-partitioning the row makes the same comparisons as partitioning its image,
-the segments hold the same values in the same order, and the results have
-the same bits.  The Monte Carlo engine passes a family's quantile function
-with a matrix of uniforms, or a memo of it whose table also sends the
-stand-in keys of corrupted cells to their values.
+Since the estimators read only their top segments, :func:`evaluate_many`
+takes an optional ``transform``: a vectorized map ``q``, applied element by
+element, such that the estimates are those of ``q(samples)``.  It is called
+once, on the 1-D concatenation of every segment read.  The contract is that
+``q`` is order-preserving within each row: q(a) < q(b) exactly when a < b,
+and q(a) == q(b) exactly when a == b.  Then partitioning the row makes the
+same comparisons as partitioning its image, the segments hold the same
+values in the same order, and the results have the same bits.  The Monte
+Carlo engine passes a family's quantile function with a matrix of uniforms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field, fields
@@ -105,15 +103,19 @@ def _top_index(n: int, alpha: float) -> int:
     return min(int(math.floor((1.0 - alpha) * n)), n - 1)
 
 
-def _tail_mean(part: np.ndarray, k: int, n: int, alpha: float, transform=None) -> np.ndarray:
-    """Row-wise plug-in of the first ``n`` columns of ``part``, partitioned at ``k``.
+def _plugin_top(a: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
+    """Select: the top segment of each row that the plug-in reads, and the row length."""
+    n = a.shape[1]
+    k = _top_index(n, alpha)
+    return np.partition(a, k, axis=-1)[:, k:], n
 
-    Only columns ``k..n-1`` are read; ``transform``, when given, maps them first.
-    """
+
+def _tail_mean(tail: np.ndarray, n: int, alpha: float) -> np.ndarray:
+    """Reduce: the plug-in of rows of length ``n`` from their top segments ``tail`` (last axis)."""
+    k = n - tail.shape[-1]
     boundary_w = (k + 1.0) / n - max(k / n, 1.0 - alpha)
-    tail = part[:, k:n] if transform is None else transform(part[:, k:n])
     with np.errstate(over="ignore"):  # an overflowing row is added again below
-        top_sum = tail[:, 1:].sum(axis=-1)
+        top_sum = tail[..., 1:].sum(axis=-1)
     out = (top_sum / n + _boundary_term(boundary_w, tail)) / alpha
     over = ~np.isfinite(top_sum)
     if over.any():
@@ -127,7 +129,7 @@ def _tail_mean(part: np.ndarray, k: int, n: int, alpha: float, transform=None) -
 
 def _boundary_term(weight: float, rows: np.ndarray):
     """``weight`` times the first column of ``rows``, or 0 at a zero weight, where 0 * inf is nan."""
-    return weight * rows[:, 0] if weight else 0.0
+    return weight * rows[..., 0] if weight else 0.0
 
 
 def plugin_es(sample, alpha: float) -> float:
@@ -135,13 +137,10 @@ def plugin_es(sample, alpha: float) -> float:
     return float(plugin_es_batch(_one_row(sample), alpha)[0])
 
 
-def plugin_es_batch(samples, alpha: float, transform=None) -> np.ndarray:
-    """Row-wise plug-in estimates of a (trials, N) matrix, or of ``transform`` of it."""
+def plugin_es_batch(samples, alpha: float) -> np.ndarray:
+    """Row-wise plug-in estimates of a (trials, N) matrix."""
     alpha = check_alpha(alpha)
-    a = _as_batch(samples)
-    n = a.shape[1]
-    k = _top_index(n, alpha)
-    return _tail_mean(np.partition(a, k, axis=-1), k, n, alpha, transform)
+    return _tail_mean(*_plugin_top(_as_batch(samples), alpha), alpha)
 
 
 def interp_quantile(values, beta: float) -> float:
@@ -188,13 +187,6 @@ def _block_count(n: int, m: int, gap: int, need: int = 1) -> int:
     return count
 
 
-def _block_view(a: np.ndarray, m: int, gap: int) -> np.ndarray:
-    """Reshape trailing axis into complete blocks of a checked layout; drops leftover samples."""
-    count = _block_count(a.shape[-1], m, gap)
-    stride = m + gap
-    return a[..., : count * stride].reshape(*a.shape[:-1], count, stride)[..., gap:]
-
-
 def block_estimates(sample, alpha: float, m: int, gap: int = 0) -> np.ndarray:
     """Plug-in estimate of each complete block, in block order.
 
@@ -204,15 +196,19 @@ def block_estimates(sample, alpha: float, m: int, gap: int = 0) -> np.ndarray:
     return block_estimates_batch(_one_row(sample), alpha, m, gap)[0]
 
 
-def block_estimates_batch(samples, alpha: float, m: int, gap: int = 0,
-                          transform=None) -> np.ndarray:
+def block_estimates_batch(samples, alpha: float, m: int, gap: int = 0) -> np.ndarray:
     """Row-wise block estimates; shape (trials, n_blocks)."""
     alpha = check_alpha(alpha)
-    a = _as_batch(samples)
-    blocks = _block_view(a, *_check_layout(m, gap))
-    n_rows, n_blocks, width = blocks.shape
-    flat = plugin_es_batch(blocks.reshape(n_rows * n_blocks, width), alpha, transform)
-    return flat.reshape(n_rows, n_blocks)
+    return _tail_mean(*_block_top(_as_batch(samples), alpha, *_check_layout(m, gap)), alpha)
+
+
+def _block_top(a: np.ndarray, alpha: float, m: int, gap: int) -> tuple[np.ndarray, int]:
+    """Select: the top segment of each block of a checked layout, shape (trials, n_blocks,
+    width), and ``m``; samples after the last complete block are dropped."""
+    count, stride = _block_count(a.shape[1], m, gap), m + gap
+    blocks = a[:, : count * stride].reshape(len(a), count, stride)[..., gap:]
+    top, _ = _plugin_top(blocks.reshape(-1, m), alpha)  # faster than partitioning in 3-D
+    return top.reshape(len(a), count, top.shape[-1]), m
 
 
 def _check_betas(beta1: float, beta2: float) -> None:
@@ -291,17 +287,19 @@ def trimmed_es(sample, alpha: float, c: float = DEFAULT_TRIM_C,
 
 
 def trimmed_es_batch(samples, alpha: float, c: float = DEFAULT_TRIM_C,
-                     exponent: float = DEFAULT_TRIM_EXPONENT, transform=None) -> np.ndarray:
+                     exponent: float = DEFAULT_TRIM_EXPONENT) -> np.ndarray:
     alpha = check_alpha(alpha)
     a = _as_batch(samples)
-    n = a.shape[1]
-    k = _trim_count(n, c, exponent)
+    return _tail_mean(*_trimmed_top(a, alpha, _trim_count(a.shape[1], c, exponent)), alpha)
+
+
+def _trimmed_top(a: np.ndarray, alpha: float, k: int) -> tuple[np.ndarray, int]:
+    """Select: the plug-in's top segment of each row without its ``k`` largest points."""
     if k == 0:
-        return plugin_es_batch(a, alpha, transform)
-    kept = n - k
+        return _plugin_top(a, alpha)
+    kept = a.shape[1] - k
     k2 = _top_index(kept, alpha)
-    part = np.partition(a, sorted({k2, kept - 1}), axis=-1)
-    return _tail_mean(part, k2, kept, alpha, transform)
+    return np.partition(a, sorted({k2, kept - 1}), axis=-1)[:, k2:kept], kept
 
 
 def suggested_block_size(eps: float) -> int:
@@ -389,27 +387,44 @@ class EstimatorConfig:
 def evaluate_many(estimators, samples, alpha: float, transform=None) -> list[np.ndarray]:
     """Row-wise estimates of several estimators on one (trials, N) matrix.
 
-    The full-sample plug-in and the sorted block estimates of each
-    ``(m, gap)`` layout are computed once and shared by every estimator that
-    needs them, so each result has the bits of that estimator evaluated alone.
-    With a ``transform`` the estimates are those of ``transform(samples)``
-    (see the module docstring for the contract).  It gives no warning: the
-    configs and :meth:`EstimatorConfig.evaluate_batch` do.
+    Three stages: select each segment the estimators read (full sample, block
+    layout, trimming) once; ``transform`` them all in one call (module
+    docstring); reduce each to its plug-ins, which the estimators share, so
+    each result has the bits of that estimator evaluated alone.  It gives no
+    warning: the configs and :meth:`EstimatorConfig.evaluate_batch` do.
     """
     alpha = check_alpha(alpha)
     a = _as_batch(samples)
-    full = functools.cache(lambda: plugin_es_batch(a, alpha, transform))
-    blocks = functools.cache(
-        lambda m, gap: np.sort(block_estimates_batch(a, alpha, m, gap, transform), axis=-1))
+    reads = [_reads(est, a.shape[1]) for est in estimators]
+    keys = list(dict.fromkeys(key for read in reads for key in read))
+    tops = [key[0](a, alpha, *key[1:]) for key in keys]
+    segments = [top for top, _ in tops]
+    if transform is not None:
+        flat, end = transform(np.concatenate(segments, axis=None)), 0
+        for i, top in enumerate(segments):
+            segments[i] = flat[end:end + top.size].reshape(top.shape)
+            end += top.size
+    means = {}
+    for key, top, (_, n) in zip(keys, segments, tops):
+        mean = _tail_mean(top, n, alpha)
+        means[key] = np.sort(mean, axis=-1) if key[0] is _block_top else mean
     out = []
-    for est in estimators:
-        if est.kind == "plugin":
-            out.append(full())
-        elif est.kind == "median_of_blocks":
-            out.append(_interp_sorted(blocks(est.m, est.gap), 0.5))
+    for est, read in zip(estimators, reads):
+        if est.kind == "median_of_blocks":
+            out.append(_interp_sorted(means[read[0]], 0.5))
         elif est.kind == "truncated":
-            _block_count(a.shape[1], est.m, est.gap, need=2)
-            out.append(_clamp(full(), blocks(est.m, est.gap), est.beta1, est.beta2)[0])
+            out.append(_clamp(*(means[key] for key in read), est.beta1, est.beta2)[0])
         else:
-            out.append(trimmed_es_batch(a, alpha, est.trim_c, est.trim_exponent, transform))
+            out.append(means[read[0]])
     return out
+
+
+def _reads(est: EstimatorConfig, n: int) -> tuple[tuple, ...]:
+    """The segments ``est`` reads in rows of length ``n``, as ``(select, *args)``; checks ``est``."""
+    if est.kind == "plugin":
+        return ((_plugin_top,),)
+    if est.kind == "trimmed":
+        return ((_trimmed_top, _trim_count(n, est.trim_c, est.trim_exponent)),)
+    _block_count(n, est.m, est.gap, need=2 if est.kind == "truncated" else 1)
+    layout = (_block_top, est.m, est.gap)
+    return ((_plugin_top,), layout) if est.kind == "truncated" else (layout,)

@@ -26,15 +26,15 @@ function is strictly increasing there, so the estimates have the bits of the
 estimators on X.
 
 For a family declared ``iterative_quantile`` (Student-t: ``stdtrit`` and a
-Newton polish, about 630 ns a point), the quantile handed to the estimators
-is wrapped in a memo (:func:`_memo`) that evaluates it once per distinct
-point of the sub-batch.  The plug-in and ``trimmed`` read nearly the same top
-segment, and most block tops lie inside it: at N = 3250 with four estimators
-a clean trial reads 975 points, of which about 350 are distinct.  Within a
-sub-batch the quantile is a pure function of the point, so the memo is
-exact.  It costs about 130 ns per point read, which makes clean trials of
-the closed-form families (7.5 to 48 ns a point) 1.5 to 1.9 times slower, so
-no other family gets it.
+Newton polish, about 400 ns a point), the estimators get the quantile behind
+a dedupe (:func:`_dedupe`): they call it once per sub-batch, on every point
+they read, and it evaluates the quantile once per distinct point.  The
+plug-in and ``trimmed`` read nearly the same top segment, and most block
+tops lie inside it: at N = 3250 with four estimators a clean trial reads 975
+points, of which about 350 are distinct.  The quantile is a pure function of
+the point, so the dedupe is exact.  It costs about 25 ns per point read,
+which makes sub-batches of the closed-form families (3 to 27 ns a point)
+1.1 to 1.5 times slower, so no other family gets it.
 
 A corrupted sub-batch of such a family stays on the uniforms too, at any
 number of changed points.  The corruption model names the cells it changes
@@ -42,12 +42,12 @@ from U (see :func:`shortfall.corrupt.changed_cells`), and each changed cell
 gets a stand-in key in U that compares with its row as the new value
 compares with the row's samples: a level of the generator's grid, or the
 float just below one, for a value up to the row's top, and a key of 2 or
-more above it.  The memo starts from the table of the keys that are not
-levels and their values (see :func:`_stand_ins`), so the quantile sees only
-levels.  A sub-batch for which no such keys exist takes the sample path,
-with the same bits.  An AR(1) process, a family with atoms (distinct levels
-map to one value) and a corrupted trial of a family without the memo, which
-holds the stand-in table, take the sample path through
+more above it.  The dedupe looks the keys that are not levels up in a table
+of their values (see :func:`_stand_ins`), so the quantile sees only levels.
+A sub-batch for which no such keys exist takes the sample path, with the
+same bits.  An AR(1) process, a family with atoms (distinct levels
+map to one value) and a corrupted trial of a family without the dedupe,
+which holds the stand-in table, take the sample path through
 :func:`draw_trial_samples`.
 """
 
@@ -101,13 +101,12 @@ _SUB_BATCH_ELEMENTS = 1 << 15
 # threshold to 4 MB.  Under another allocator the block is only allocated and freed.
 np.empty(16 * _SUB_BATCH_ELEMENTS)
 
-#: Levels on each side of the cdf's guess that the stand-in search reaches.  It
-#: checks the ``4 * _LEVEL_REACH + 1`` bins around the guess, since from 1/2 up
-#: two adjacent bins share a level.  Over 43k samples and MaxShiftGaussian(3, 5,
-#: 250) shocks per family the guess missed by at most 4 levels for Student-t and
-#: Pareto and 2 for Normal; a miss sends its sub-batch down the sample path.
+#: Levels on each side of the cdf's guess that the stand-in search reaches,
+#: after one level did not suffice.  Over 43k samples and MaxShiftGaussian(3,
+#: 5, 250) shocks per family the guess missed by at most 4 levels for
+#: Student-t and Pareto and 2 for Normal; a miss sends its sub-batch down the
+#: sample path.
 _LEVEL_REACH = 5
-_BIN_WINDOW = np.arange(-2 * _LEVEL_REACH, 2 * _LEVEL_REACH + 1.0)[:, None]
 
 
 @checked_numbers
@@ -283,38 +282,30 @@ def _run_batch(spec: ExperimentSpec, n: int, rows: int, t_start: int) -> list[np
             streams = rng.split_from(seeds, CORRUPTION_STREAM)
             table = _stand_ins(u, changed_cells(u, spec.corruption, streams, family.quantile), family)
         if table is not None:
-            transform = _memo(family.quantile, *table) if family.iterative_quantile else family.quantile
+            quantile = family.quantile
+            transform = partial(_dedupe, quantile, *table) if family.iterative_quantile else quantile
             return estim.evaluate_many(spec.estimators, u, spec.alpha, transform)
     samples = draw_trial_samples(spec.process, n, spec.master_seed, t_start, t_stop, spec.corruption)
     return estim.evaluate_many(spec.estimators, samples, spec.alpha)
 
 
-def _memo(transform, keys: np.ndarray, values: np.ndarray):
-    """``transform`` evaluated once per distinct point over the calls of one sub-batch.
+def _dedupe(quantile, keys: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``quantile`` of the 1-D ``points``, evaluated once per distinct point not in a table.
 
-    The memo starts from the sorted table ``keys`` -> ``values`` (the stand-in
-    keys of :func:`_stand_ins`, or empty), whose keys never reach
-    ``transform``.  A call passes only the points it has not seen before to
-    ``transform``, as a sorted 1-D array, and returns an array of the input's
-    shape.  Exact for an elementwise ``transform`` that is a pure function of
-    the point, which the quantile is; the stand-in keys belong to their
-    sub-batch, so a memo never outlives it.
+    The sorted table ``keys`` -> ``values`` (the stand-in keys of
+    :func:`_stand_ins`, or empty) answers its keys, which never reach
+    ``quantile``; the other distinct points go to ``quantile`` in one call, as a
+    sorted 1-D array.  Exact for an elementwise ``quantile`` that is a pure
+    function of the point.
     """
-    def memo(points: np.ndarray) -> np.ndarray:
-        nonlocal keys, values
-        distinct, back = np.unique(points, return_inverse=True)
-        at = np.searchsorted(keys, distinct)
-        seen = at < keys.size
-        seen[seen] = keys[at[seen]] == distinct[seen]
-        out = np.empty_like(distinct)
-        out[seen] = values[at[seen]]
-        new = ~seen
-        if new.any():
-            out[new] = transform(distinct[new])
-            keys, values = np.insert(keys, at[new], distinct[new]), np.insert(values, at[new], out[new])
-        return out[back].reshape(points.shape)
-
-    return memo
+    distinct, back = np.unique(points, return_inverse=True)
+    at = np.searchsorted(keys, distinct)
+    seen = at < keys.size
+    seen[seen] = keys[at[seen]] == distinct[seen]
+    out = np.empty_like(distinct)
+    out[seen] = values[at[seen]]
+    out[~seen] = quantile(distinct[~seen])
+    return out[back]
 
 
 def _stand_ins(u: np.ndarray, cells, family):
@@ -322,7 +313,7 @@ def _stand_ins(u: np.ndarray, cells, family):
 
     The key of a cell compares with the other points of its row as its new
     value compares with their samples, so the estimators on ``u``, with the
-    quantile looked up in the returned table first (:func:`_memo`), give the
+    quantile looked up in the returned table first (:func:`_dedupe`), give the
     bits of the estimators on the corrupted X.  A value above the quantile of
     its row's largest uniform, changed cells included, gets a key of 2 or
     more, ranked by value.  Any other value v gets the smallest level L with
@@ -363,25 +354,32 @@ def _reaching_levels(values: np.ndarray, family):
     """(L, quantile(L)) for each value v, where quantile(level below L) < v <= quantile(L).
 
     One quantile call checks the levels (:func:`shortfall.rng.unit`) of the
-    ``4 * _LEVEL_REACH + 1`` bins around the bin of ``family.cdf(v)``.  A bin
-    below 0 holds no level, so it counts as one that v does not reach, and a
-    v at or below quantile(``unit(0)``) gets L = ``unit(0)``; a bin above the
-    top bin is clipped to it.  L is the first level of the window that
-    reaches v after one that does not.  Returns None where a window holds
-    none.  Where the computed quantile is not monotone, the first such L is
-    taken: the engine already takes the quantile to be increasing on the
-    points of a trial.
+    5 bins (one level each side, since from 1/2 up two adjacent bins share a
+    level) around the bin of ``family.cdf(v)``; a second checks ``4 *
+    _LEVEL_REACH + 1`` bins for the values that the first leaves without L.
+    A bin below 0 holds no level, so it counts as one that v does not reach,
+    and a v at or below quantile(``unit(0)``) gets L = ``unit(0)``; a bin
+    above the top bin is clipped to it.  L is the first level of a window
+    that reaches v after one that does not.  Returns None where neither
+    window holds one.  Where the computed quantile is not monotone, the first
+    such L is taken: the engine already takes the quantile to be increasing
+    on the points of a trial, and then both windows find the same L.
     """
-    bins = np.floor(family.cdf(values) * 2.0**53) + _BIN_WINDOW
-    window = rng.unit(np.clip(bins, 0.0, 2.0**53 - 1.0))
-    q = family.quantile(window)
-    short = (q < values) | (bins < 0.0)
-    cross = short[:-1] & ~short[1:]
-    if not cross.any(axis=0).all():
-        return None
-    first = cross.argmax(axis=0) + 1
-    columns = np.arange(values.size)
-    return window[first, columns], q[first, columns]
+    guess = np.floor(family.cdf(values) * 2.0**53)
+    level, reached = np.empty_like(values), np.empty_like(values)
+    todo = np.arange(values.size)
+    for reach in (1, _LEVEL_REACH):
+        bins = guess[todo] + np.arange(-2.0 * reach, 2.0 * reach + 1.0)[:, None]
+        window = rng.unit(np.clip(bins, 0.0, 2.0**53 - 1.0))
+        q = family.quantile(window)
+        short = (q < values[todo]) | (bins < 0.0)
+        cross = short[:-1] & ~short[1:]
+        first, columns = cross.argmax(axis=0) + 1, np.arange(todo.size)
+        level[todo], reached[todo] = window[first, columns], q[first, columns]
+        todo = todo[~cross.any(axis=0)]
+        if not todo.size:
+            return level, reached
+    return None
 
 
 def _concat(parts) -> list[np.ndarray]:

@@ -131,7 +131,8 @@ def unit(bins: np.ndarray) -> np.ndarray:
     See the module docstring: from 1/2 up, ``+ 0.5`` rounds to even, so two
     adjacent bins share a level and the top bin gives exactly 1.0.
     """
-    u = np.asarray(bins).astype(np.float64)
+    bins = np.asarray(bins)  # uint64 bins, below 2**53, cast exactly and faster as int64
+    u = (bins.view(np.int64) if bins.dtype == np.uint64 else bins).astype(np.float64)
     u += 0.5
     u *= _TO_UNIT
     return u

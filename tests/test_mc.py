@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -287,7 +288,8 @@ def test_stand_ins_give_the_bits_of_the_corrupted_samples(family, attack):
     table = mc._stand_ins(u, cells, family)
     assert table is not None
     calls = []
-    got = estim.evaluate_many(_PATH_ESTIMATORS, u, 0.1, mc._memo(_recorded(family.quantile, calls), *table))
+    transform = partial(mc._dedupe, _recorded(family.quantile, calls), *table)
+    got = estim.evaluate_many(_PATH_ESTIMATORS, u, 0.1, transform)
     samples = mc.draw_trial_samples(dist.IID(family), n, 23, 0, trials, model)
     want = estim.evaluate_many(_PATH_ESTIMATORS, samples, 0.1)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -297,8 +299,8 @@ def test_stand_ins_give_the_bits_of_the_corrupted_samples(family, attack):
 
 
 def test_stand_ins_search_once_per_distinct_inside_value():
-    # one value inside the samples on k cells of every row: one window of 21 levels goes
-    # through the quantile, not 21 * k * rows, beside the row maxima
+    # one value inside the samples on k cells of every row: one window of 5 bins (one level
+    # each side) goes through the quantile, not 5 * k * rows, beside the row maxima
     family, n, rows = dist.StudentT(2.5), 400, 81
     model = corrupt.ReplaceIndices(frozenset(range(1, n + 1, 40)), 1.5)
     seeds = rng.split_array(23, n, np.arange(rows, dtype=np.uint64))
@@ -308,9 +310,24 @@ def test_stand_ins_search_once_per_distinct_inside_value():
     recording = SimpleNamespace(cdf=family.cdf, quantile=_recorded(family.quantile, calls))
     table = mc._stand_ins(u, cells, recording)
     assert table is not None and cells[2].size == model.k * rows
-    assert [points.size for points in calls] == [rows, 4 * mc._LEVEL_REACH + 1]
+    assert [points.size for points in calls] == [rows, 5]
     assert np.unique(u[cells[0], cells[1]]).size == 1  # the one value has one key
-    assert mc._memo(family.quantile, *table)(u[cells[0], cells[1]]).tolist() == [1.5] * cells[2].size
+    assert mc._dedupe(family.quantile, *table, u[cells[0], cells[1]]).tolist() == [1.5] * cells[2].size
+
+
+def test_reaching_levels_widen_only_where_one_level_misses():
+    # a cdf 8 bins (4 levels) high above 1/2 sends those values to the wide window, which
+    # finds the levels that one level each side of the true cdf's bin finds
+    family = dist.StudentT(2.5)
+    values = np.linspace(-3.0, 3.0, 41)
+    level, reached = mc._reaching_levels(values, family)
+    calls = []
+    shifted = SimpleNamespace(cdf=lambda v: family.cdf(v) + np.where(v > 0.0, 8 * 2.0**-53, 0.0),
+                              quantile=_recorded(family.quantile, calls))
+    got = mc._reaching_levels(values, shifted)
+    assert got[0].tobytes() == level.tobytes() and got[1].tobytes() == reached.tobytes()
+    assert [points.shape for points in calls] == [(5, values.size),
+                                                  (4 * mc._LEVEL_REACH + 1, np.count_nonzero(values > 0))]
 
 
 def test_stand_ins_decline_a_key_they_cannot_give():
@@ -324,19 +341,19 @@ def test_stand_ins_decline_a_key_they_cannot_give():
     keys = u.copy()
     table = mc._stand_ins(keys, (rows, cols, np.array([first, first])), family)
     assert keys[rows, cols].tolist() == [np.nextafter(0.75, 0.0)] * 2
-    assert mc._memo(family.quantile, *table)(keys[rows, cols]).tolist() == [first, first]
+    assert mc._dedupe(family.quantile, *table, keys[rows, cols]).tolist() == [first, first]
     # the bottom of the grid: a tie keeps unit(0), a value below it takes the float under it
     bottom = rng.unit(np.array([0]))[0]
     keys = u.copy()
     values = np.array([family.quantile(bottom), -1e308])
     table = mc._stand_ins(keys, (rows, cols, values), family)
     assert keys[rows, cols].tolist() == [bottom, np.nextafter(bottom, 0.0)]
-    assert mc._memo(family.quantile, *table)(keys[rows, cols]).tolist() == values.tolist()
+    assert mc._dedupe(family.quantile, *table, keys[rows, cols]).tolist() == values.tolist()
     # values above their rows take keys from 2 up, ranked by value; equal values share one
     keys, above = u.copy(), np.array([1e3, 2e3, 1e3])
     table = mc._stand_ins(keys, (np.array([0, 0, 2]), np.array([4, 9, 9]), above), family)
     assert keys[[0, 0, 2], [4, 9, 9]].tolist() == [2.0, 4.0, 2.0]
-    assert mc._memo(family.quantile, *table)(keys[[0, 0, 2], [4, 9, 9]]).tolist() == above.tolist()
+    assert mc._dedupe(family.quantile, *table, keys[[0, 0, 2], [4, 9, 9]]).tolist() == above.tolist()
     # between the quantiles of 1/2 - 2**-54 and 1/2 no float is free; two values below
     # the grid both need the float under unit(0)
     assert family.quantile(0.5) == 0.0 and family.quantile(0.5 - 2.0**-54) < -1e-17
@@ -416,16 +433,16 @@ _DEMO_ESTIMATORS = (estim.EstimatorConfig("plugin"),
                     estim.EstimatorConfig("trimmed"))
 
 
-@pytest.mark.parametrize("family, model, memo", [
+@pytest.mark.parametrize("family, model, dedupe", [
     pytest.param(dist.StudentT(2.5), corrupt.NoCorruption(), True, id="student_t"),
     pytest.param(dist.StudentT(2.5), corrupt.MaxShiftGaussian(3, 5.0, 250.0), True,
                  id="student_t-max_shift"),
     pytest.param(dist.Normal(0.0, 1.0), corrupt.NoCorruption(), False, id="normal"),
     pytest.param(dist.Pareto(1.0, 2.2), corrupt.NoCorruption(), False, id="pareto"),
 ])
-def test_quantile_points_per_sub_batch(monkeypatch, family, model, memo):
-    # an iterative quantile sees each distinct point a sub-batch reads once, but no stand-in key;
-    # others every point read
+def test_quantile_points_per_sub_batch(monkeypatch, family, model, dedupe):
+    # one quantile call per sub-batch, on a 1-D array: an iterative quantile sees each distinct
+    # point the sub-batch reads once, but no stand-in key; others every point read
     n, trials = 1250, 60  # sub-batches of 26, 26 and 8 rows
     counted, read, distinct, fresh, inside = [], [], [], [], [False]
     table_keys = [np.empty(0)]
@@ -433,23 +450,29 @@ def test_quantile_points_per_sub_batch(monkeypatch, family, model, memo):
 
     def counting(self, u):
         if inside[0]:
-            counted.append(np.size(u))
+            counted.append(np.array(u, copy=True))
         return quantile(self, u)
 
     def spy(estimators, u, alpha, transform=None):
         if transform is None:  # the checks on trial 0
             return evaluate_many(estimators, u, alpha)
         seen = []
-        evaluate_many(estimators, u.copy(), alpha, lambda points: seen.append(points.ravel()) or points)
-        read.append(sum(points.size for points in seen))
-        points = np.unique(np.concatenate(seen))
+        evaluate_many(estimators, u.copy(), alpha, lambda points: seen.append(points) or points)
+        assert len(seen) == 1 and seen[0].ndim == 1
+        read.append(seen[0].size)
+        points = np.unique(seen[0])
         distinct.append(points.size)
-        fresh.append(np.count_nonzero(~np.isin(points, table_keys[0])))
+        points = points[~np.isin(points, table_keys[0])]
+        fresh.append(points.size)
+        calls = len(counted)
         inside[0] = True
         try:
             return evaluate_many(estimators, u, alpha, transform)
         finally:
             inside[0] = False
+            assert len(counted) == calls + 1 and counted[-1].ndim == 1
+            if dedupe:
+                assert counted[-1].tolist() == points.tolist()
 
     def stand_ins_spy(*args):
         table = stand_ins(*args)
@@ -460,9 +483,11 @@ def test_quantile_points_per_sub_batch(monkeypatch, family, model, memo):
     monkeypatch.setattr(estim, "evaluate_many", spy)
     monkeypatch.setattr(mc, "_stand_ins", stand_ins_spy)
     mc.run_trials_multi(dist.IID(family), _DEMO_ESTIMATORS, 0.1, n, trials, 23, model, workers=1)
-    assert len(read) == 3  # every sub-batch runs on the uniforms
-    assert sum(counted) == sum(fresh if memo else read)
+    assert len(read) == len(counted) == 3  # every sub-batch runs on the uniforms
+    assert [points.size for points in counted] == (fresh if dedupe else read)
     assert sum(distinct) < sum(read)
+    if not isinstance(model, corrupt.NoCorruption):
+        assert table_keys[0].size and sum(fresh) < sum(distinct)  # some keys were not evaluated
 
 
 def _recorded(transform, calls):
@@ -472,26 +497,28 @@ def _recorded(transform, calls):
     return record
 
 
-def test_memo_has_the_bits_of_the_transform_and_sees_each_point_once():
+def test_dedupe_has_the_bits_of_the_quantile_and_sees_each_point_once():
     family = dist.StudentT(2.5)
     u = rng.uniform_matrix(np.arange(4, dtype=np.uint64), 400)
     u[1, 310] = u[0, 305]
     assert np.unique(u[:, 300:]).size == u[:, 300:].size - 1  # one value in two rows
+    # overlapping segments, as the estimators read them
+    points = np.concatenate([u[:, 300:], u[:, :100], u[:, 320:], u[:, 50:350]], axis=None)
     calls = []
-    memo = mc._memo(_recorded(family.quantile, calls), np.empty(0), np.empty(0))
-    for segment, fresh in ((u[:, 300:], u[:, 300:]),  # misses entirely
-                           (u[:, :100], u[:, :100]),  # a second call that misses entirely
-                           (u[:, 320:], None),        # hits entirely
-                           (u[:, 50:350], u[:, 100:300]),  # both
-                           (np.empty((0, 7)), None)):
-        got = memo(segment)
-        assert got.shape == segment.shape
-        assert got.tobytes() == family.quantile(segment).tobytes()
-        if fresh is None:
-            assert not calls
-        else:
-            assert calls.pop().tolist() == np.unique(fresh).tolist()
-            assert not calls
+    got = mc._dedupe(_recorded(family.quantile, calls), np.empty(0), np.empty(0), points)
+    assert got.tobytes() == family.quantile(points).tobytes()
+    assert len(calls) == 1 and calls[0].tolist() == np.unique(points).tolist()
+    # a table answers its keys, which never reach the quantile, with its own values
+    keys = np.unique(u[:, 150:160])
+    calls.clear()
+    got = mc._dedupe(_recorded(family.quantile, calls), keys, -keys, points)
+    held = np.isin(points, keys)
+    assert held.any() and not held.all()
+    assert got.tobytes() == np.where(held, -points, family.quantile(points)).tobytes()
+    assert len(calls) == 1 and calls[0].tolist() == np.setdiff1d(points, keys).tolist()
+    for table in ((np.empty(0), np.empty(0)), (keys, -keys)):
+        got = mc._dedupe(family.quantile, *table, np.empty(0))
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 def test_estimator_precondition_reported():

@@ -140,6 +140,13 @@ def test_unit_is_the_generator_map():
     assert rng.unit(np.array([0]))[0] == 2.0**-54
 
 
+def test_unit_casts_bins_exactly_through_int64():
+    bins = np.array([0, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1], dtype=np.uint64)
+    want = (bins.astype(np.float64) + 0.5) * 2.0**-53
+    assert rng.unit(bins).tobytes() == want.tobytes()
+    assert rng.unit(bins)[[0, -1]].tolist() == [2.0**-54, 1.0]
+
+
 def test_one_float_between_adjacent_levels():
     # the stand-in keys take the float just below a level, which must not be a level
     edges = (1, 2**51, 2**52, 2**53 - 4)
