@@ -28,7 +28,7 @@ import functools
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -467,14 +467,6 @@ def sample_matrix(spec: DistributionSpec, seeds: np.ndarray, n: int) -> np.ndarr
     return spec.quantile(rng.uniform_matrix(seeds, n))
 
 
-def _ar1_from_innovations(rho: float, z: np.ndarray) -> np.ndarray:
-    # X_1 = Z_1 (stationary start), X_t = rho*X_{t-1} + sqrt(1-rho^2)*Z_t.
-    w = z * math.sqrt(1.0 - rho * rho)
-    w[..., 0] = z[..., 0]
-    # scipy.signal loads scipy.stats and more: only an AR(1) path names it
-    return _lazy("scipy.signal").lfilter([1.0], [1.0, -rho], w, axis=-1)
-
-
 def ar1_path(rho: float, n: int, seed: int) -> np.ndarray:
     """Stationary standard-normal AR(1) path of length ``n``."""
     return ar1_paths(rho, rng.seed_row(seed), n)[0]
@@ -485,7 +477,11 @@ def ar1_paths(rho: float, seeds: np.ndarray, n: int) -> np.ndarray:
     _require(abs(rho) < 1.0, "rho", f"must satisfy |rho| < 1 (got {rho})")
     _require(n >= 1, "n", f"must be >= 1 (got {n})")
     z = sp.ndtri(rng.uniform_matrix(seeds, n))
-    return _ar1_from_innovations(rho, z)
+    # X_1 = Z_1 (stationary start), X_t = rho*X_{t-1} + sqrt(1-rho^2)*Z_t.
+    w = z * math.sqrt(1.0 - rho * rho)
+    w[..., 0] = z[..., 0]
+    # scipy.signal loads scipy.stats and more: only an AR(1) path names it
+    return _lazy("scipy.signal").lfilter([1.0], [1.0, -rho], w, axis=-1)
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -517,7 +513,9 @@ def spec_from_json(obj: dict) -> DistributionSpec:
         raise ParameterError(f"family: unknown distribution {obj.get('family')!r}") from exc
     params = obj.get("params", {})
     check_fields(params, [f.name for f in fields(cls)], f"{obj['family']} params")
-    return cls(**params)
+    # a parameter without a default is read as params[name]: its KeyError names it
+    return cls(**{f.name: params[f.name] for f in fields(cls)
+                  if f.default is MISSING or f.name in params})
 
 
 def process_to_json(process: ProcessSpec) -> dict:

@@ -18,14 +18,14 @@ consecutive blocks of size m, and ``gap = m`` keeps every other block (the
 layout used for weakly dependent data, where the discarded spacer blocks
 decouple the retained ones).
 
-Each kernel (:func:`plugin_es_batch`, :func:`block_estimates_batch`,
-:func:`trimmed_es_batch`) works row-wise on a (trials, N) matrix in two
-steps: *select* partitions each row (or block) with ``np.partition`` instead
-of a full sort and keeps the top segment the plug-in reads; *reduce* takes
-its weighted tail sum.  :func:`evaluate_many`, the batch route of every
-estimator, selects each segment its estimators read once, and builds the
+The kernels work row-wise on a (trials, N) matrix in two private steps:
+*select* partitions each row (or block) with ``np.partition`` instead of a
+full sort and keeps the top segment the plug-in reads; *reduce* takes its
+weighted tail sum.  The batch route of every estimator is
+:meth:`EstimatorConfig.evaluate_batch`, or :func:`evaluate_many` for
+several: it selects each segment its estimators read once, and builds the
 truncated estimator and the median of blocks from the plug-in and the sorted
-block estimates.  A scalar form is its batch route on a one-row matrix.
+block estimates.  A scalar form runs the same kernels on a one-row matrix.
 
 Since the estimators read only their top segments, :func:`evaluate_many`
 takes an optional ``transform``: a vectorized map ``q``, applied element by
@@ -59,9 +59,7 @@ __all__ = [
     "median_of_blocks",
     "trimmed_es",
     "suggested_block_size",
-    "plugin_es_batch",
     "block_estimates_batch",
-    "trimmed_es_batch",
     "evaluate_many",
 ]
 
@@ -134,13 +132,9 @@ def _boundary_term(weight: float, rows: np.ndarray):
 
 def plugin_es(sample, alpha: float) -> float:
     """Plug-in expected shortfall: the exact weighted order-statistic sum."""
-    return float(plugin_es_batch(_one_row(sample), alpha)[0])
-
-
-def plugin_es_batch(samples, alpha: float) -> np.ndarray:
-    """Row-wise plug-in estimates of a (trials, N) matrix."""
+    a = _one_row(sample)
     alpha = check_alpha(alpha)
-    return _tail_mean(*_plugin_top(_as_batch(samples), alpha), alpha)
+    return float(_tail_mean(*_plugin_top(a, alpha), alpha)[0])
 
 
 def interp_quantile(values, beta: float) -> float:
@@ -243,7 +237,7 @@ def truncated_es_interval(sample, alpha: float, m: int = DEFAULT_M,
     est = EstimatorConfig("truncated", m=m, beta1=beta1, beta2=beta2, gap=gap)
     _block_count(a.shape[1], est.m, est.gap, need=2)
     blocks = np.sort(block_estimates_batch(a, alpha, est.m, est.gap), axis=-1)
-    rows = _clamp(plugin_es_batch(a, alpha), blocks, est.beta1, est.beta2)
+    rows = _clamp(_tail_mean(*_plugin_top(a, alpha), alpha), blocks, est.beta1, est.beta2)
     return tuple(float(r[0]) for r in rows)
 
 
@@ -270,7 +264,6 @@ def _check_trim(c, exponent) -> tuple[float, float]:
 
 
 def _trim_count(n: int, c: float, exponent: float) -> int:
-    c, exponent = _check_trim(c, exponent)
     try:
         k = math.floor(c * n**exponent)
     except OverflowError:  # c * N**exponent beyond the float range
@@ -284,13 +277,6 @@ def trimmed_es(sample, alpha: float, c: float = DEFAULT_TRIM_C,
                exponent: float = DEFAULT_TRIM_EXPONENT) -> float:
     """Plug-in estimate after discarding the floor(c * N**exponent) largest points."""
     return EstimatorConfig("trimmed", trim_c=c, trim_exponent=exponent).evaluate(sample, alpha)
-
-
-def trimmed_es_batch(samples, alpha: float, c: float = DEFAULT_TRIM_C,
-                     exponent: float = DEFAULT_TRIM_EXPONENT) -> np.ndarray:
-    alpha = check_alpha(alpha)
-    a = _as_batch(samples)
-    return _tail_mean(*_trimmed_top(a, alpha, _trim_count(a.shape[1], c, exponent)), alpha)
 
 
 def _trimmed_top(a: np.ndarray, alpha: float, k: int) -> tuple[np.ndarray, int]:

@@ -236,14 +236,6 @@ def resolve_workers(workers: int = 0) -> int:
     return max(1, min(os.cpu_count() or 1, 8))
 
 
-def _draw_batch(process: ProcessSpec, seeds: np.ndarray, n: int) -> np.ndarray:
-    if isinstance(process, IID):
-        return sample_matrix(process.dist, seeds, n)
-    if isinstance(process, AR1):
-        return ar1_paths(process.rho, seeds, n)
-    raise ParameterError(f"process: unknown process {type(process).__name__}")
-
-
 def draw_trial_samples(process: ProcessSpec, n: int, master_seed: int,
                        t_start: int, t_stop: int,
                        corruption: CorruptionModel = NoCorruption()) -> np.ndarray:
@@ -261,9 +253,14 @@ def draw_trial_samples(process: ProcessSpec, n: int, master_seed: int,
 
 
 def _draw_rows(process: ProcessSpec, n: int, seeds: np.ndarray,
-               corruption: CorruptionModel) -> np.ndarray:
+               corruption: CorruptionModel = NoCorruption()) -> np.ndarray:
     """The (corrupted) samples of the trials with data streams ``seeds``."""
-    samples = _draw_batch(process, seeds, n)
+    if isinstance(process, IID):
+        samples = sample_matrix(process.dist, seeds, n)
+    elif isinstance(process, AR1):
+        samples = ar1_paths(process.rho, seeds, n)
+    else:
+        raise ParameterError(f"process: unknown process {type(process).__name__}")
     if not isinstance(corruption, NoCorruption):
         samples = apply_corruption_batch(samples, corruption, rng.split_from(seeds, CORRUPTION_STREAM))
     return samples
@@ -510,6 +507,7 @@ def longrun_sigma_oracle(process: ProcessSpec, alpha: float, block_size: int,
     alpha = check_alpha(alpha)
     block_size, blocks = check_oracle_size(block_size, blocks)
     total = block_size * blocks
-    path = _draw_batch(process, rng.seed_row(seed), total)[0]
-    batch_estimates = estim.plugin_es_batch(path.reshape(blocks, block_size), alpha)
+    path = _draw_rows(process, total, rng.seed_row(seed))[0]
+    batch_estimates = estim.EstimatorConfig("plugin").evaluate_batch(
+        path.reshape(blocks, block_size), alpha)
     return float(block_size * batch_estimates.var(ddof=1))

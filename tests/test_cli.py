@@ -252,11 +252,14 @@ def test_curve_bad_config(tmp_path, capsys, trivial_config):
     bad.write_bytes(json.dumps({"version": 1}).encode("utf-16"))  # not UTF-8
     code, _, err = run_cli(capsys, "curve", "--config", str(bad), "--out", str(tmp_path / "o"))
     assert code == 2 and err.startswith(f"error: cannot read {bad}: ") and len(err.splitlines()) == 1
-    bad.write_text(json.dumps({"version": 1, "alpha": 0.1}))
-    code, _, err = run_cli(capsys, "curve", "--config", str(bad),
-                           "--out", str(tmp_path / "o"))
-    assert code == 2 and "missing field" in err
     _, cfg = trivial_config
+    no_lam = {"kind": "iid", "dist": {"family": "pareto", "params": {"x0": 1.0}}}
+    for top, message in (({"version": 1, "alpha": 0.1}, "missing field"),
+                         (dict(cfg, process=no_lam), "error: config: missing field 'lam'\n")):
+        bad.write_text(json.dumps(top))
+        code, _, err = run_cli(capsys, "curve", "--config", str(bad),
+                               "--out", str(tmp_path / "o"))
+        assert code == 2 and message in err
     for field, value in (("trials", 0), ("delta", -1), ("sample_sizes", [40, 20])):
         bad.write_text(json.dumps(dict(cfg, **{field: value})))
         out = tmp_path / f"bad_{field}"

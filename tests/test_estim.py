@@ -67,7 +67,7 @@ def test_plugin_empty_rejected():
         estim.plugin_es([math.nan, 1.0], 0.1)
     for samples in (np.ones(5), np.ones((3, 0))):
         with pytest.raises(ParameterError, match=r"samples: expected a \(trials, N\) matrix"):
-            estim.plugin_es_batch(samples, 0.1)
+            estim.EstimatorConfig("plugin").evaluate_batch(samples, 0.1)
 
 
 # --- interpolated quantile ---------------------------------------------------------
@@ -109,7 +109,7 @@ def test_whole_position_next_to_an_inf_is_the_order_statistic():
     # beta = 1 sits at frac 1 of the last interval: 0 * -inf + 1 * 5 would be nan
     row = np.array([[-math.inf] * 10 + [5.0] * 10])
     top = estim.block_estimates_batch(row, 0.1, m=10)[0, 1]
-    full = estim.plugin_es_batch(row, 0.1)[0]
+    full = estim.EstimatorConfig("plugin").evaluate_batch(row, 0.1)[0]
     with pytest.warns(UserWarning, match="range"):
         got = estim.EstimatorConfig("truncated", m=10, beta1=0.5, beta2=1.0).evaluate_batch(row, 0.1)
     assert got.tolist() == [min(full, top)] and math.isfinite(top)
@@ -117,7 +117,7 @@ def test_whole_position_next_to_an_inf_is_the_order_statistic():
     row = np.r_[np.zeros(60), np.full(30, math.inf)][None, :]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert estim.plugin_es_batch(row, 0.3).tolist() == [math.inf]
+        assert estim.EstimatorConfig("plugin").evaluate_batch(row, 0.3).tolist() == [math.inf]
 
 
 # --- blocks ------------------------------------------------------------------------
@@ -296,7 +296,7 @@ def test_batch_matches_scalar(alpha, gap):
     rng = np.random.default_rng(17)
     samples = rng.exponential(size=(9, 83))
     assert np.allclose(
-        estim.plugin_es_batch(samples, alpha),
+        estim.EstimatorConfig("plugin").evaluate_batch(samples, alpha),
         [estim.plugin_es(r, alpha) for r in samples], atol=1e-12,
     )
     got, lower, upper = (
@@ -313,7 +313,8 @@ def test_batch_matches_scalar(alpha, gap):
         [estim.median_of_blocks(r, alpha, m=11, gap=gap) for r in samples], atol=1e-12,
     )
     assert np.allclose(
-        estim.trimmed_es_batch(samples, alpha, c=0.4, exponent=0.5),
+        estim.EstimatorConfig("trimmed", trim_c=0.4, trim_exponent=0.5).evaluate_batch(
+            samples, alpha),
         [estim.trimmed_es(r, alpha, c=0.4, exponent=0.5) for r in samples], atol=1e-12,
     )
 
@@ -365,7 +366,7 @@ def test_scalar_is_one_row_batch_on_edge_samples(kind, case):
     alpha = 0.1
     scalar, batch = {
         "plugin": (lambda: estim.plugin_es(x, alpha),
-                   lambda: estim.plugin_es_batch(x[None, :], alpha)),
+                   lambda: estim.EstimatorConfig("plugin").evaluate_batch(x[None, :], alpha)),
         "truncated": (lambda: estim.truncated_es(x, alpha, m, 0.5, 0.6),
                       lambda: estim.EstimatorConfig("truncated", m=m, beta1=0.5, beta2=0.6)
                       .evaluate_batch(x[None, :], alpha)),
@@ -373,7 +374,7 @@ def test_scalar_is_one_row_batch_on_edge_samples(kind, case):
                              lambda: estim.EstimatorConfig("median_of_blocks", m=m)
                              .evaluate_batch(x[None, :], alpha)),
         "trimmed": (lambda: estim.trimmed_es(x, alpha),
-                    lambda: estim.trimmed_es_batch(x[None, :], alpha)),
+                    lambda: estim.EstimatorConfig("trimmed").evaluate_batch(x[None, :], alpha)),
     }[kind]
     cfg = estim.EstimatorConfig(kind, m=m)
     if kind == "truncated" and case == "one_block":
@@ -547,7 +548,7 @@ def test_estimator_config_roundtrip_and_eval():
     for c, exponent, message in (("x", 1.0, "^trim_c: must be a number"),
                                  (0.25, None, "^trim_exp: must be a number")):
         with pytest.raises(ParameterError, match=message):
-            estim.trimmed_es_batch(x[None, :], 0.1, c=c, exponent=exponent)
+            estim.EstimatorConfig("trimmed", trim_c=c, trim_exponent=exponent)
     for c, exponent in ((1e308, 1.0 / 3.0), (0.25, 1e10)):  # finite, but c * N**exponent overflows
         with pytest.raises(ParameterError, match="whole sample"):
             estim.trimmed_es(x, 0.1, c=c, exponent=exponent)

@@ -784,6 +784,17 @@ def test_longrun_oracle_ar1_exceeds_iid():
     assert ar > iid
 
 
+@pytest.mark.parametrize("process", [dist.IID(dist.Pareto(1.0, 2.2)), dist.AR1(0.5)])
+def test_longrun_oracle_is_its_definition(process):
+    # one path from the seed, cut into 100 stretches of 1000: the plug-in's batch-means variance
+    if isinstance(process, dist.IID):
+        path = dist.sample(process.dist, 100 * 1000, 5)
+    else:
+        path = dist.ar1_path(process.rho, 100 * 1000, 5)
+    stretches = np.array([estim.plugin_es(b, 0.1) for b in path.reshape(100, 1000)])
+    assert mc.longrun_sigma_oracle(process, 0.1, 1000, 100, 5) == 1000 * stretches.var(ddof=1)
+
+
 def test_longrun_oracle_validation():
     with pytest.raises(ParameterError, match="blocks"):
         mc.longrun_sigma_oracle(dist.AR1(0.5), 0.1, 1000, 50, 0)
