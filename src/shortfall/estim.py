@@ -132,6 +132,8 @@ def _boundary_term(weight: float, rows: np.ndarray):
 
 def plugin_es(sample, alpha: float) -> float:
     """Plug-in expected shortfall: the exact weighted order-statistic sum."""
+    # evaluate_many's kernels, run directly: EstimatorConfig("plugin").evaluate gives the same
+    # bits at 28-31 us a call against 16-18 us at N = 500 (min of 9 timeit runs, 2-core Xeon)
     a = _one_row(sample)
     alpha = check_alpha(alpha)
     return float(_tail_mean(*_plugin_top(a, alpha), alpha)[0])
@@ -236,6 +238,8 @@ def truncated_es_interval(sample, alpha: float, m: int = DEFAULT_M,
     alpha = check_alpha(alpha)
     est = EstimatorConfig("truncated", m=m, beta1=beta1, beta2=beta2, gap=gap)
     _block_count(a.shape[1], est.m, est.gap, need=2)
+    # evaluate_many on the estimate and its two equal-beta configs gives the same bits at
+    # 86-95 us a call against 52-60 us at N = 500, and 8.3 ms against 5.4-6.2 ms at N = 1e6
     blocks = np.sort(block_estimates_batch(a, alpha, est.m, est.gap), axis=-1)
     rows = _clamp(_tail_mean(*_plugin_top(a, alpha), alpha), blocks, est.beta1, est.beta2)
     return tuple(float(r[0]) for r in rows)

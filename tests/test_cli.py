@@ -534,17 +534,26 @@ def _bench_config(tmp_path, **overrides) -> Path:
     return path
 
 
-def test_overflow_curve_raises_no_runtime_warning(tmp_path, capsys):
+@pytest.mark.parametrize("overrides", [
     # shocks that overflow to +inf in every point: every estimate is inf
-    overflow = {"kind": "max_shift_gaussian", "k": 1250, "mu": 0.0, "sigma": 1e308}
-    path = _bench_config(tmp_path, sample_sizes=[1250], corruption=overflow)
+    pytest.param({"sample_sizes": [1250], "corruption": {"kind": "max_shift_gaussian", "k": 1250,
+                                                         "mu": 0.0, "sigma": 1e308}},
+                 id="every_point"),
+    # alpha = 0.3 at N = 90 gives the boundary point weight 0, next to +inf shocks
+    pytest.param({"alpha": 0.3, "sample_sizes": [90], "estimators": [{"kind": "plugin"}],
+                  "corruption": {"kind": "max_shift_gaussian", "k": 90, "mu": 1.7e308,
+                                 "sigma": 1e308}}, id="zero_weight"),
+])
+def test_overflow_curve_raises_no_runtime_warning(tmp_path, capsys, overrides):
+    path = _bench_config(tmp_path, **overrides)
     out = tmp_path / "curve"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, _, err = run_cli(capsys, "curve", "--config", str(path), "--out", str(out),
                                "--workers", "1")
     assert code == 0 and err == ""
-    assert (out / "curve_1_truncated.csv").read_text().splitlines()[1].startswith("1250,1,")
+    rows = {csv.read_text().splitlines()[1] for csv in out.glob("curve_*.csv")}
+    assert rows == {f"{overrides['sample_sizes'][0]},1,0,200"}  # every trial misses the truth
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -594,7 +603,7 @@ def test_mixing_command(tmp_path, capsys):
     assert values["ar1"] > values["iid_normal"]
 
 
-def test_shipped_configs_build():
+def test_shipped_configs_build(tmp_path, capsys):
     configs = sorted(Path(__file__).resolve().parents[1].joinpath("configs").glob("*.json"))
     assert configs
     for path in configs:
@@ -602,6 +611,24 @@ def test_shipped_configs_build():
         assert list(spec.sample_sizes) == cfg["sample_sizes"]
     mixing = json.loads(configs[0].with_name("mixing.json").read_text())
     assert cli._oracle_size(mixing) == (mixing["oracle"]["block_size"], mixing["oracle"]["blocks"])
+    # each runs end to end through its command at 20 trials, and pareto22_bench through hist
+    runs = [(path, {"corrupt_demo": "corrupt-demo", "mixing": "mixing"}.get(path.stem, "curve"))
+            for path in configs] + [(configs[0].with_name("pareto22_bench.json"), "hist")]
+    for path, command in runs:
+        cfg = dict(json.loads(path.read_text()), trials=20)
+        if command == "mixing":
+            cfg["oracle"] = {"block_size": 1000, "blocks": 100}
+        small, out = tmp_path / "small.json", tmp_path / f"{command}_{path.stem}"
+        small.write_text(json.dumps(cfg))
+        code, _, _ = run_cli(capsys, command, "--config", str(small), "--out", str(out),
+                             "--workers", "1", "--svg")
+        tags = [f"{i}_{est['kind']}" for i, est in enumerate(cfg["estimators"])]
+        phases = {"hist": [""], "corrupt-demo": ["_clean", "_corrupted"]}.get(command)
+        written = ({f"hist_{t}{p}.{ext}" for t in tags for p in phases for ext in ("csv", "svg")}
+                   if phases else {f"curve_{t}.csv" for t in tags} | {"curve.svg"})
+        if command == "mixing":
+            written |= {"mixing_summary.csv", "longrun_sigma.csv"}
+        assert code == 0 and {p.name for p in out.iterdir()} == written | {"run_meta.json"}
 
 
 def test_mixing_requires_ar1(tmp_path, capsys, trivial_config):
