@@ -32,8 +32,7 @@ import numpy as np
 from . import estim, mc, report
 from .corrupt import MaxShiftGaussian, NoCorruption, model_to_json
 from .dist import AR1, IID
-from .errors import (InfiniteShortfallError, ParameterError, ShortfallError, check_alpha,
-                     check_fields, integer)
+from .errors import ParameterError, ShortfallError, check_alpha, check_fields, integer
 from .estim import EstimatorConfig, truncated_es_interval
 from .functionals import table1_rows
 
@@ -117,8 +116,6 @@ def _load_config(path: str) -> tuple[dict, mc.ExperimentSpec]:
     try:  # the spec fields, less the keys this front end reads itself
         return cfg, mc.ExperimentSpec.from_json(
             {k: v for k, v in cfg.items() if k not in ("version", "oracle")})
-    except InfiniteShortfallError:  # the process, not a field, is at fault: main reports it
-        raise
     except KeyError as exc:
         raise ShortfallError(f"config: missing field {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:

@@ -284,9 +284,7 @@ def trimmed_es(sample, alpha: float, c: float = DEFAULT_TRIM_C,
 
 
 def _trimmed_top(a: np.ndarray, alpha: float, k: int) -> tuple[np.ndarray, int]:
-    """Select: the plug-in's top segment of each row without its ``k`` largest points."""
-    if k == 0:
-        return _plugin_top(a, alpha)
+    """Select: the plug-in's top segment of each row without its ``k`` >= 1 largest points."""
     kept = a.shape[1] - k
     k2 = _top_index(kept, alpha)
     return np.partition(a, sorted({k2, kept - 1}), axis=-1)[:, k2:kept], kept
@@ -413,8 +411,9 @@ def _reads(est: EstimatorConfig, n: int) -> tuple[tuple, ...]:
     """The segments ``est`` reads in rows of length ``n``, as ``(select, *args)``; checks ``est``."""
     if est.kind == "plugin":
         return ((_plugin_top,),)
-    if est.kind == "trimmed":
-        return ((_trimmed_top, _trim_count(n, est.trim_c, est.trim_exponent)),)
+    if est.kind == "trimmed":  # trimming no point reads the plug-in's segment
+        k = _trim_count(n, est.trim_c, est.trim_exponent)
+        return ((_trimmed_top, k),) if k else ((_plugin_top,),)
     _block_count(n, est.m, est.gap, need=2 if est.kind == "truncated" else 1)
     layout = (_block_top, est.m, est.gap)
     return ((_plugin_top,), layout) if est.kind == "truncated" else (layout,)

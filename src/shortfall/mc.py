@@ -117,8 +117,8 @@ _LEVEL_REACH = 5
 class ExperimentSpec:
     """Everything needed to reproduce a deviation experiment.
 
-    Every estimator sees the same draws: trial ``t`` at size ``N`` is one
-    sample, evaluated by each estimator in turn.
+    Every estimator sees the same draws: trial ``t`` at size ``N`` is one sample, evaluated
+    by each estimator in turn.  The truth follows from ``process`` and ``alpha``.
     """
 
     process: ProcessSpec
@@ -129,7 +129,6 @@ class ExperimentSpec:
     trials: int
     master_seed: int
     corruption: CorruptionModel = NoCorruption()
-    truth: float = math.nan
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -144,8 +143,6 @@ class ExperimentSpec:
             raise ParameterError(f"estimators: must be EstimatorConfig objects (got {estimators!r})")
         if not self.delta > 0.0:
             raise ParameterError(f"delta: must be > 0 (got {self.delta})")
-        if math.isinf(self.truth):  # NaN means no truth given
-            raise ParameterError(f"truth: must be finite, or NaN for none (got {self.truth})")
         sizes = tuple(integer(n, "sample_sizes") for n in sequence(self.sample_sizes, "sample_sizes"))
         if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])) or sizes[0] < 1:
             raise ParameterError("sample_sizes: need a nonempty, strictly increasing list of N >= 1")
@@ -164,20 +161,14 @@ class ExperimentSpec:
             "trials": self.trials,
             "master_seed": self.master_seed,
             "corruption": model_to_json(self.corruption),
-            "truth": self.truth,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentSpec":
-        """Parse a spec; a missing ``truth`` is the exact ES of the process marginal."""
+        """Parse the object that :meth:`to_json` writes; ``corruption`` may be omitted."""
         check_fields(obj, [f.name for f in fields(cls)], "experiment")
-        process = process_from_json(obj["process"])
-        truth = obj.get("truth")
-        if truth is None:
-            marginal = process.dist if isinstance(process, IID) else process.marginal
-            truth = functionals.es_exact(marginal, obj["alpha"])
         return cls(
-            process=process,
+            process=process_from_json(obj["process"]),
             estimators=tuple(map(EstimatorConfig.from_json, sequence(obj["estimators"], "estimators"))),
             alpha=obj["alpha"],
             sample_sizes=obj["sample_sizes"],
@@ -185,7 +176,6 @@ class ExperimentSpec:
             trials=obj["trials"],
             master_seed=obj["master_seed"],
             corruption=model_from_json(obj.get("corruption")),
-            truth=truth,
         )
 
 
@@ -443,14 +433,15 @@ def deviation_probability(estimates, truth: float, delta: float) -> tuple[float,
 
 
 def deviation_curves(spec: ExperimentSpec, workers: int = 0) -> tuple[DeviationCurve, ...]:
-    """P(|estimate - truth| >= delta) at each N, one curve per estimator."""
-    if math.isnan(spec.truth):
-        raise ParameterError("truth: ExperimentSpec.truth must be set for deviation curves")
+    """P(|estimate - truth| >= delta) at each N, one curve per estimator; the truth, the exact
+    ES of the process marginal at ``spec.alpha``, is computed before any trial."""
+    marginal = spec.process.dist if isinstance(spec.process, IID) else spec.process.marginal
+    truth = functionals.es_exact(marginal, spec.alpha)
     points = [[] for _ in spec.estimators]
     for n in spec.sample_sizes:
         for curve, estimates in zip(points, run_trials(spec, n, workers)):
-            p_hat, stderr, count = deviation_probability(estimates, spec.truth, spec.delta)
-            error = float(np.median(np.abs(estimates - spec.truth)))
+            p_hat, stderr, count = deviation_probability(estimates, truth, spec.delta)
+            error = float(np.median(np.abs(estimates - truth)))
             curve.append(CurvePoint(n, p_hat, stderr, count, error))
     return tuple(DeviationCurve(spec.delta, spec.trials, tuple(p)) for p in points)
 

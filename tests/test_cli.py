@@ -31,7 +31,6 @@ def trivial_config(tmp_path):
         "delta": 0.5,
         "trials": 250,
         "master_seed": 7,
-        "truth": 3.0,
     }
     path = tmp_path / "trivial.json"
     path.write_text(json.dumps(cfg))
@@ -342,11 +341,8 @@ def test_curve_estimator_precondition_before_output(tmp_path, capsys, trivial_co
                                          "sigma": math.inf}}, "config: mu: must be finite (got nan)"),
     ("corrupt-demo", [], {"corruption": {"kind": "max_shift_gaussian", "k": 3, "mu": 5.0,
                                          "sigma": math.inf}}, "config: sigma: must be finite (got inf)"),
-    # NaN is no truth given, so no curves; an infinite truth is an error
-    ("curve", ["--workers", "1"], {"truth": math.nan}, "error: truth: "),
-    ("mixing", ["--workers", "1"], {"truth": math.nan}, "error: truth: "),
-    ("curve", [], {"truth": math.inf}, "config: truth: must be finite, or NaN for none (got inf)"),
-    ("curve", [], {"truth": -math.inf}, "config: truth: must be finite, or NaN for none (got -inf)"),
+    # the truth is the exact ES of the process marginal, never a config field
+    ("curve", [], {"truth": 3.0}, "error: config: experiment: unknown field(s) ['truth']"),
 ])
 def test_bad_argument_before_output(tmp_path, capsys, trivial_config,
                                     command, flags, overrides, message):
@@ -386,11 +382,38 @@ def test_curve_infinite_truth_is_one_line_error(tmp_path, capsys):
     }
     path = tmp_path / "heavy.json"
     path.write_text(json.dumps(cfg))
-    code, _, err = run_cli(capsys, "curve", "--config", str(path),
-                           "--out", str(tmp_path / "o"), "--workers", "1")
+    out = tmp_path / "o"
+    code, _, err = run_cli(capsys, "curve", "--config", str(path), "--out", str(out),
+                           "--workers", "1")
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("error: infinite ES") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["hist", "corrupt-demo"])
+def test_histograms_of_an_infinite_es_law(tmp_path, capsys, command):
+    # a histogram needs no truth, so a law whose ES is infinite still has one
+    cfg = {
+        "version": 1,
+        "process": {"kind": "iid", "dist": {"family": "pareto",
+                                            "params": {"x0": 1.0, "lam": 0.9}}},
+        "alpha": 0.1,
+        "estimators": [{"kind": "plugin"}, {"kind": "truncated", "m": 25}],
+        "sample_sizes": [500],
+        "delta": 1.0,
+        "trials": 20,
+        "master_seed": 7,
+    }
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    code, _, err = run_cli(capsys, command, "--config", str(path), "--out", str(out),
+                           "--workers", "1", "--bins", "5")
+    assert code == 0 and err == ""
+    phases = [""] if command == "hist" else ["_clean", "_corrupted"]
+    written = {f"hist_{tag}{phase}.csv" for tag in ("0_plugin", "1_truncated") for phase in phases}
+    assert {p.name for p in out.iterdir()} == written | {"run_meta.json"}
 
 
 # --- hist and corrupt-demo ----------------------------------------------------------

@@ -261,6 +261,23 @@ def test_trimmed_no_op_when_k_zero():
     assert estim.trimmed_es(x, 0.1) == estim.plugin_es(x, 0.1)
 
 
+def test_untrimmed_trimmed_selects_the_plugin_segment_once(monkeypatch):
+    calls = []
+    select = estim._plugin_top
+
+    def counted(a, alpha):
+        calls.append(a.shape)
+        return select(a, alpha)
+
+    monkeypatch.setattr(estim, "_plugin_top", counted)
+    x = np.random.default_rng(3).exponential(size=(7, 50))
+    assert estim._trim_count(50, estim.DEFAULT_TRIM_C, estim.DEFAULT_TRIM_EXPONENT) == 0
+    plugin, trimmed = estim.evaluate_many(
+        [estim.EstimatorConfig("plugin"), estim.EstimatorConfig("trimmed")], x, 0.1)
+    assert calls == [(7, 50)]
+    assert plugin.tobytes() == trimmed.tobytes()
+
+
 def test_trimmed_drops_largest():
     values = np.arange(1.0, 11.0)
     got = estim.trimmed_es(values, 0.2, c=0.1, exponent=1.0)  # k=1

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -22,7 +23,6 @@ def _constant_spec(**overrides):
         delta=0.5,
         trials=200,
         master_seed=7,
-        truth=3.0,
     )
     base.update(overrides)
     return mc.ExperimentSpec(**base)
@@ -82,7 +82,6 @@ def test_trials_deterministic_across_workers():
         delta=1.0,
         trials=900,
         master_seed=31,
-        truth=5.0,
     )
     serial = mc.run_trials(spec, 400, workers=1)[0]
     parallel = mc.run_trials(spec, 400, workers=2)[0]
@@ -150,14 +149,14 @@ def test_sub_batches_give_no_warning():
 
 def test_trials_depend_on_master_seed():
     a = mc.run_trials(_constant_spec(process=dist.IID(dist.Exponential(1.0)),
-                                     master_seed=1, truth=3.3), 20, workers=1)[0]
+                                     master_seed=1), 20, workers=1)[0]
     b = mc.run_trials(_constant_spec(process=dist.IID(dist.Exponential(1.0)),
-                                     master_seed=2, truth=3.3), 20, workers=1)[0]
+                                     master_seed=2), 20, workers=1)[0]
     assert not np.array_equal(a, b)
 
 
 def test_trials_order_is_trial_order():
-    spec = _constant_spec(process=dist.IID(dist.Exponential(1.0)), trials=70, truth=3.3)
+    spec = _constant_spec(process=dist.IID(dist.Exponential(1.0)), trials=70)
     full = mc.run_trials(spec, 20, workers=1)[0]
     direct = mc.draw_trial_samples(spec.process, 20, spec.master_seed, 13, 14)
     assert estim.plugin_es(direct[0], 0.1) == pytest.approx(full[13], rel=1e-12)
@@ -536,7 +535,7 @@ def test_estimator_precondition_reported():
 def test_corruption_applied_per_trial():
     process = dist.IID(dist.ScaledBernoulli(1.0, 3.0))
     model = corrupt.ReplaceIndices(frozenset({1}), value=1000.0)
-    spec = _constant_spec(process=process, corruption=model, truth=3.0)
+    spec = _constant_spec(process=process, corruption=model)
     out = mc.run_trials(spec, 20, workers=1)[0]
     # one of 20 points replaced by 1000: plug-in with alpha=0.1 picks top 2
     expected = estim.plugin_es([3.0] * 19 + [1000.0], 0.1)
@@ -667,24 +666,30 @@ def test_constant_curve_is_zero():
     assert [pt.n for pt in curve.points] == [20, 40]
 
 
-def test_curve_requires_truth():
-    spec = _constant_spec(truth=math.nan)
-    with pytest.raises(ParameterError, match="truth"):
-        mc.deviation_curves(spec, workers=1)
-
-
 def test_curve_counts_an_infinite_miss():
     # alpha = 0.3 at N = 90 gives the boundary point weight 0; shocks that overflow to
     # +inf make every plug-in estimate inf, which misses the truth by more than delta
-    from shortfall import functionals as fn
-
-    pareto = dist.Pareto(1.0, 2.2)
-    spec = mc.ExperimentSpec(process=dist.IID(pareto), estimators=(estim.EstimatorConfig("plugin"),),
+    spec = mc.ExperimentSpec(process=dist.IID(dist.Pareto(1.0, 2.2)), estimators=(estim.EstimatorConfig("plugin"),),
                              alpha=0.3, sample_sizes=(90,), delta=1.0, trials=200, master_seed=7,
-                             corruption=corrupt.MaxShiftGaussian(90, 1.7e308, 1e308),
-                             truth=fn.es_exact(pareto, 0.3))
+                             corruption=corrupt.MaxShiftGaussian(90, 1.7e308, 1e308))
     point = mc.deviation_curves(spec, workers=1)[0].points[0]
     assert (point.n, point.p_hat, point.count) == (90, 1.0, 200)
+
+
+def test_curve_truth_follows_the_spec():
+    # the truth is the exact ES of the spec's own law and alpha, also after a replace
+    from shortfall import functionals as fn
+
+    spec = mc.ExperimentSpec(process=dist.IID(dist.Pareto(1.0, 2.2)),
+                             estimators=(estim.EstimatorConfig("plugin"),), alpha=0.1,
+                             sample_sizes=(400,), delta=0.5, trials=300, master_seed=5)
+    for run in (spec, dataclasses.replace(spec, alpha=0.025),
+                dataclasses.replace(spec, process=dist.IID(dist.Pareto(1.0, 3.0)))):
+        point = mc.deviation_curves(run, workers=1)[0].points[0]
+        estimates = mc.run_trials(run, 400, workers=1)[0]
+        truth = fn.es_exact(run.process.dist, run.alpha)
+        assert point.count == mc.deviation_probability(estimates, truth, 0.5)[2]
+        assert point.median_abs_error == float(np.median(np.abs(estimates - truth)))
 
 
 def test_deviation_probability_stable_across_master_seeds():
@@ -697,7 +702,7 @@ def test_deviation_probability_stable_across_master_seeds():
         spec = mc.ExperimentSpec(
             process=dist.IID(pareto), estimators=(estim.EstimatorConfig("plugin"),),
             alpha=0.1, sample_sizes=(3250,), delta=1.0, trials=20_000,
-            master_seed=seed, truth=truth,
+            master_seed=seed,
         )
         estimates[seed] = mc.run_trials(spec, 3250)[0]
     assert not np.array_equal(estimates[20260811], estimates[555])
