@@ -295,9 +295,9 @@ class Pareto:
 
     def quantile(self, u):
         out = 1.0 - u  # one buffer for the whole transform; u is left alone
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             np.power(out, -1.0 / self.lam, out=out)
-        out *= self.x0
+            out *= self.x0
         return out
 
     def pdf(self, t):

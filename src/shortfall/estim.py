@@ -301,13 +301,24 @@ def suggested_block_size(eps: float) -> int:
 
 # --- configuration ------------------------------------------------------------
 
-KINDS = ("plugin", "truncated", "median_of_blocks", "trimmed")
+#: The JSON keys each kind reads, in the order of its label; every other field keeps its default.
+_FIELDS = {"plugin": (), "truncated": ("m", "beta1", "beta2", "gap"),
+           "median_of_blocks": ("m", "gap"), "trimmed": ("trim_c", "trim_exp")}
+KINDS = tuple(_FIELDS)
+_LABEL_NAMES = {"beta1": "b1", "beta2": "b2", "trim_c": "c", "trim_exp": "exp"}
+
+
+def _known_keys(kind) -> tuple[str, ...]:
+    """``kind`` and the JSON keys an estimator of that kind reads; raises on an unknown kind."""
+    if kind not in KINDS:
+        raise ParameterError(f"kind: unknown estimator {kind!r} (use one of {KINDS})")
+    return ("kind", *_FIELDS[kind])
 
 
 @checked_numbers
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """A fully-specified estimator; ``kind`` selects which fields apply."""
+    """A fully-specified estimator; a field its ``kind`` does not read keeps its default."""
 
     kind: str
     m: int = DEFAULT_M
@@ -318,8 +329,8 @@ class EstimatorConfig:
     trim_exponent: float = field(default=DEFAULT_TRIM_EXPONENT, metadata={"key": "trim_exp"})
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"kind: unknown estimator {self.kind!r} (use one of {KINDS})")
+        changed = [key for key, f in _KEYS.items() if getattr(self, f.name) != f.default]
+        check_fields(dict.fromkeys(changed), _known_keys(self.kind), f"{self.kind} estimator")
         if self.kind in ("truncated", "median_of_blocks"):
             _check_layout(self.m, self.gap)
         if self.kind == "truncated":
@@ -328,15 +339,10 @@ class EstimatorConfig:
             _check_trim(self.trim_c, self.trim_exponent)
 
     def label(self) -> str:
-        if self.kind == "plugin":
-            return "plugin"
-        if self.kind == "truncated":
-            gap = f",gap={self.gap}" if self.gap else ""
-            return f"truncated(m={self.m},b1={self.beta1:g},b2={self.beta2:g}{gap})"
-        if self.kind == "median_of_blocks":
-            gap = f",gap={self.gap}" if self.gap else ""
-            return f"median_of_blocks(m={self.m}{gap})"
-        return f"trimmed(c={self.trim_c:g},exp={self.trim_exponent:g})"
+        shown = [f"{_LABEL_NAMES.get(key, key)}={value:g}" if isinstance(value, float)
+                 else f"{key}={value}" for key, value in self.to_json().items()
+                 if key != "kind" and (key != "gap" or value)]
+        return f"{self.kind}({','.join(shown)})" if shown else self.kind
 
     def evaluate(self, sample, alpha: float) -> float:
         return float(self.evaluate_batch(_one_row(sample), alpha)[0])
@@ -351,25 +357,18 @@ class EstimatorConfig:
         return out
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind in ("truncated", "median_of_blocks"):
-            out["m"] = self.m
-            out["gap"] = self.gap
-        if self.kind == "truncated":
-            out["beta1"] = self.beta1
-            out["beta2"] = self.beta2
-        if self.kind == "trimmed":
-            out["trim_c"] = self.trim_c
-            out["trim_exp"] = self.trim_exponent
-        return out
+        return {key: getattr(self, _KEYS[key].name) for key in _known_keys(self.kind)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "EstimatorConfig":
-        """Read exactly the fields that ``to_json`` writes for the object's kind."""
+        """Read exactly the keys that the object's kind reads, as ``to_json`` writes them."""
         kind = json_object(obj, "estimator").get("kind", "")
-        check_fields(obj, cls(kind).to_json(), f"{kind} estimator")
-        names = {f.metadata.get("key", f.name): f.name for f in fields(cls)}
-        return cls(**{names[key]: value for key, value in obj.items()})
+        check_fields(obj, _known_keys(kind), f"{kind} estimator")
+        return cls(**{_KEYS[key].name: value for key, value in obj.items()})
+
+
+#: Each field by its JSON key.
+_KEYS = {f.metadata.get("key", f.name): f for f in fields(EstimatorConfig)}
 
 
 def evaluate_many(estimators, samples, alpha: float, transform=None) -> list[np.ndarray]:

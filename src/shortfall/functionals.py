@@ -2,8 +2,8 @@
 
 Three independent routes to the expected shortfall at level ``alpha``:
 
-* :func:`es_exact` -- closed forms where the family admits one, otherwise the
-  u-space quadrature below at tolerance 1e-10;
+* :func:`es_exact` -- the closed form of each family, so that the two
+  quadrature routes below are independent checks on it;
 * :func:`es_by_quadrature` -- (1/alpha) * integral of the quantile function
   over (1-alpha, 1), evaluated after the substitution u = 1 - alpha*s**kappa
   (which concentrates nodes at the tail singularity) with adaptive panel
@@ -102,11 +102,7 @@ def _require_finite_es(spec: DistributionSpec) -> None:
 
 
 def es_exact(spec: DistributionSpec, alpha: float) -> float:
-    """Expected shortfall ES_alpha, by closed form where one is known.
-
-    Families without a closed form (Student-t, Logistic) delegate to
-    :func:`es_by_quadrature`.
-    """
+    """Expected shortfall ES_alpha, by the closed form of the family; ``inf`` beyond the float range."""
     alpha = check_alpha(alpha)
     _require_finite_es(spec)
     if isinstance(spec, ScaledBernoulli):
@@ -120,7 +116,11 @@ def es_exact(spec: DistributionSpec, alpha: float) -> float:
         return spec.mu + spec.sigma * math.exp(-0.5 * z * z) / (_SQRT_2PI * alpha)
     if isinstance(spec, Lognormal):
         z = sp.ndtri(1.0 - alpha)
-        return math.exp(spec.mu + 0.5 * spec.sigma**2) * sp.ndtr(spec.sigma - z) / alpha
+        try:
+            mean = math.exp(spec.mu + 0.5 * spec.sigma**2)
+        except OverflowError:  # the ES is at least the mean
+            return math.inf
+        return mean * sp.ndtr(spec.sigma - z) / alpha
     if isinstance(spec, AtomMix):
         am, dm = spec.alpha, spec.delta
         if alpha <= am:
@@ -128,7 +128,12 @@ def es_exact(spec: DistributionSpec, alpha: float) -> float:
         if alpha <= am + dm:
             return spec.x0 * (alpha - am) ** 2 / (2.0 * alpha * dm)
         return spec.x0 * ((alpha - am - dm) + 0.5 * dm) / alpha
-    return es_by_quadrature(spec, alpha)
+    if isinstance(spec, StudentT):
+        t = float(spec.tail_quantile(alpha))
+        return float(spec.pdf(t)) * (spec.nu + t * t) / ((spec.nu - 1.0) * alpha)
+    # Logistic, the last family: (1/alpha) * integral over (0, alpha) of log1p(-w) - log(w)
+    tail = -alpha * math.log(alpha) - (1.0 - alpha) * math.log1p(-alpha)
+    return spec.location + spec.scale * tail / alpha
 
 
 _MAX_PANELS, _MAX_ROUNDS = 16384, 120

@@ -65,7 +65,8 @@ from . import estim, functionals, rng
 from .corrupt import (CorruptionModel, NoCorruption, apply_corruption_batch, changed_cells,
                       model_from_json, model_to_json)
 from .dist import AR1, IID, ProcessSpec, ar1_paths, process_from_json, process_to_json, sample_matrix
-from .errors import ParameterError, check_alpha, check_fields, checked_numbers, integer, sequence
+from .errors import (InfiniteShortfallError, ParameterError, check_alpha, check_fields,
+                     checked_numbers, integer, sequence)
 from .estim import EstimatorConfig
 
 __all__ = [
@@ -434,9 +435,13 @@ def deviation_probability(estimates, truth: float, delta: float) -> tuple[float,
 
 def deviation_curves(spec: ExperimentSpec, workers: int = 0) -> tuple[DeviationCurve, ...]:
     """P(|estimate - truth| >= delta) at each N, one curve per estimator; the truth, the exact
-    ES of the process marginal at ``spec.alpha``, is computed before any trial."""
+    ES of the process marginal at ``spec.alpha``, is computed before any trial, and one beyond
+    the float range raises :class:`InfiniteShortfallError` like an infinite one."""
     marginal = spec.process.dist if isinstance(spec.process, IID) else spec.process.marginal
     truth = functionals.es_exact(marginal, spec.alpha)
+    if not math.isfinite(truth):
+        raise InfiniteShortfallError(
+            f"infinite ES: the {type(marginal).__name__} ES at alpha={spec.alpha:g} overflows a float")
     points = [[] for _ in spec.estimators]
     for n in spec.sample_sizes:
         for curve, estimates in zip(points, run_trials(spec, n, workers)):

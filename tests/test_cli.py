@@ -368,11 +368,15 @@ def test_curve_bad_workers_env(tmp_path, capsys, monkeypatch, trivial_config):
     assert err.startswith("error: SHORTFALL_WORKERS") and "Traceback" not in err
 
 
-def test_curve_infinite_truth_is_one_line_error(tmp_path, capsys):
+@pytest.mark.parametrize("family", [
+    {"family": "pareto", "params": {"x0": 1.0, "lam": 0.9}},
+    {"family": "pareto", "params": {"x0": 1e308, "lam": 2.2}},  # finite, beyond the float range
+    {"family": "lognormal", "params": {"mu": 0.0, "sigma": 40.0}},  # exp(800) overflows
+])
+def test_curve_infinite_truth_is_one_line_error(tmp_path, capsys, family):
     cfg = {
         "version": 1,
-        "process": {"kind": "iid", "dist": {"family": "pareto",
-                                            "params": {"x0": 1.0, "lam": 0.9}}},
+        "process": {"kind": "iid", "dist": family},
         "alpha": 0.1,
         "estimators": [{"kind": "plugin"}],
         "sample_sizes": [20],
@@ -477,6 +481,7 @@ def test_corrupt_demo_distorts_plugin(tmp_path, capsys):
 @pytest.mark.parametrize("family", [
     {"family": "student_t", "params": {"nu": 2.5}},
     {"family": "pareto", "params": {"x0": 1.0, "lam": 2.2}},
+    {"family": "pareto", "params": {"x0": 1e308, "lam": 2.2}},  # the draws overflow too
 ])
 def test_corrupt_demo_non_finite_estimates_is_one_line_error(tmp_path, capsys, family):
     cfg = {
@@ -492,11 +497,12 @@ def test_corrupt_demo_non_finite_estimates_is_one_line_error(tmp_path, capsys, f
     }
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(cfg))
-    code, _, err = run_cli(capsys, "corrupt-demo", "--config", str(path),
-                           "--out", str(tmp_path / "demo"), "--workers", "1")
-    assert code == 2  # the shocks overflow to inf, and so do the plug-ins
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: estimates: ") and "not finite" in err
+    for command in ("hist", "corrupt-demo"):  # hist applies the config's corruption too
+        code, _, err = run_cli(capsys, command, "--config", str(path),
+                               "--out", str(tmp_path / "demo"), "--workers", "1")
+        assert code == 2  # the shocks overflow to inf, and so do the plug-ins
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: estimates: ") and "not finite" in err
 
 
 @pytest.mark.parametrize("command", ["hist", "corrupt-demo"])

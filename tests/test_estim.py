@@ -393,7 +393,7 @@ def test_scalar_is_one_row_batch_on_edge_samples(kind, case):
         "trimmed": (lambda: estim.trimmed_es(x, alpha),
                     lambda: estim.EstimatorConfig("trimmed").evaluate_batch(x[None, :], alpha)),
     }[kind]
-    cfg = estim.EstimatorConfig(kind, m=m)
+    cfg = estim.EstimatorConfig(kind, **({"m": m} if kind in ("truncated", "median_of_blocks") else {}))
     if kind == "truncated" and case == "one_block":
         for form in (scalar, batch, lambda: cfg.evaluate(x, alpha)):
             with pytest.raises(ParameterError, match="2 complete blocks"):
@@ -544,9 +544,14 @@ def test_estimator_config_roundtrip_and_eval():
         estim.EstimatorConfig("truncated", m=50, beta1=0.5, beta2=0.6),
         estim.EstimatorConfig("median_of_blocks", m=50),
         estim.EstimatorConfig("trimmed", trim_c=0.25, trim_exponent=1.0 / 3.0),
+        # every field each kind reads, away from its default
+        estim.EstimatorConfig("truncated", m=50, beta1=0.45, beta2=0.55, gap=5),
+        estim.EstimatorConfig("median_of_blocks", m=40, gap=10),
+        estim.EstimatorConfig("trimmed", trim_c=0.4, trim_exponent=0.5),
     ]
     for cfg in configs:
         again = estim.EstimatorConfig.from_json(cfg.to_json())
+        assert again == cfg
         assert again.evaluate(x, 0.1) == cfg.evaluate(x, 0.1)
         batch = cfg.evaluate_batch(x[None, :], 0.1)
         assert batch[0] == pytest.approx(cfg.evaluate(x, 0.1), rel=1e-12)
@@ -592,5 +597,33 @@ def test_estimator_config_roundtrip_and_eval():
         estim.EstimatorConfig("trimmed", trim_exponent="1")
     built = estim.EstimatorConfig("truncated", m=np.int64(50), beta1=np.float32(0.5))
     assert type(built.m) is int and type(built.beta1) is float and built.m == 50
-    labels = [estim.EstimatorConfig("median_of_blocks", m=50, gap=g).label() for g in (0, 50)]
-    assert labels == ["median_of_blocks(m=50)", "median_of_blocks(m=50,gap=50)"]
+    labels = [estim.EstimatorConfig(*args, **kwargs).label() for args, kwargs in (
+        (("plugin",), {}), (("truncated",), {}), (("truncated",), {"gap": 250}),
+        (("median_of_blocks", 50), {}), (("median_of_blocks", 50), {"gap": 50}),
+        (("median_of_blocks", 10**6), {}), (("trimmed",), {}))]
+    assert labels == ["plugin", "truncated(m=250,b1=0.5,b2=0.6)",
+                      "truncated(m=250,b1=0.5,b2=0.6,gap=250)", "median_of_blocks(m=50)",
+                      "median_of_blocks(m=50,gap=50)", "median_of_blocks(m=1000000)",
+                      "trimmed(c=0.25,exp=0.333333)"]
+
+
+_READS = {"plugin": (), "truncated": ("m", "beta1", "beta2", "gap"),
+          "median_of_blocks": ("m", "gap"), "trimmed": ("trim_c", "trim_exp")}
+_DEFAULT_AND_OTHER = {"m": (estim.DEFAULT_M, 50), "beta1": (estim.DEFAULT_BETA1, 0.45),
+                      "beta2": (estim.DEFAULT_BETA2, 0.55), "gap": (0, 5),
+                      "trim_c": (estim.DEFAULT_TRIM_C, 0.4),
+                      "trim_exp": (estim.DEFAULT_TRIM_EXPONENT, 0.5)}
+
+
+@pytest.mark.parametrize("kind", estim.KINDS)
+def test_a_field_the_kind_does_not_read_cannot_be_set(kind):
+    for key in sorted(set(_DEFAULT_AND_OTHER) - set(_READS[kind])):
+        name = "trim_exponent" if key == "trim_exp" else key
+        default, other = _DEFAULT_AND_OTHER[key]
+        message = rf"^{kind} estimator: unknown field\(s\) \['{key}'\]$"
+        with pytest.raises(ParameterError, match=message):
+            estim.EstimatorConfig(kind, **{name: other})
+        for value in (default, other):  # the reader rejects the key, even at its default
+            with pytest.raises(ParameterError, match=message):
+                estim.EstimatorConfig.from_json({"kind": kind, key: value})
+        assert estim.EstimatorConfig(kind, **{name: default}) == estim.EstimatorConfig(kind)

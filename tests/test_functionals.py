@@ -52,6 +52,34 @@ def test_es_exact_exponential():
     assert fn.es_exact(dist.Exponential(1.0), 0.1) == pytest.approx(1.0 + math.log(10.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("spec", [dist.StudentT(nu) for nu in (1.5, 2.5, 3.0, 5.0, 30.0)]
+                         + [dist.Logistic(0.0, 1.0), dist.Logistic(2.0, 0.5),
+                            dist.Logistic(-1.0, 3.0)], ids=repr)
+def test_es_exact_student_t_and_logistic_closed_forms(spec):
+    for alpha in (0.4, 0.1, 0.05, 0.025, 0.01, 1e-4, 1e-6):
+        assert fn.es_exact(spec, alpha) == pytest.approx(fn.es_by_quadrature(spec, alpha), rel=1e-10)
+
+
+def test_es_exact_needs_no_quadrature(monkeypatch):
+    def refuse(spec, alpha):
+        raise AssertionError("es_exact called es_by_quadrature")
+
+    monkeypatch.setattr(fn, "es_by_quadrature", refuse)
+    one_of_each = [dist.Normal(), dist.StudentT(5.0), dist.Logistic(), dist.Lognormal(),
+                   dist.Pareto(1.0, 2.2), dist.Exponential(), dist.ScaledBernoulli(0.05, 2.0),
+                   dist.AtomMix(-0.5, 0.1, 0.05)]
+    assert {type(spec) for spec in one_of_each} == set(dist.DistributionSpec.__args__)
+    for spec in one_of_each:
+        assert math.isfinite(fn.es_exact(spec, 0.1))
+    # far in a heavy tail, where quadrature fails to converge
+    assert fn.es_exact(dist.StudentT(1.05), 1e-6) == pytest.approx(3.6929e6, rel=1e-4)
+
+
+def test_es_exact_beyond_the_float_range_is_inf():
+    assert fn.es_exact(dist.Lognormal(0.0, 40.0), 0.1) == math.inf  # exp(800) overflows
+    assert fn.es_exact(dist.Pareto(1e308, 2.2), 0.1) == math.inf
+
+
 def test_alpha_validation():
     for bad in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(ParameterError, match="alpha"):
